@@ -1,12 +1,11 @@
-//! Trace codec throughput (PR 5): the block-based binary format vs.
+//! Trace codec throughput: the block-based binary format (`.hmdt`) vs.
 //! the CRC-framed JSONL stream, end to end — encode, decode, replay
-//! (binary goes through the pipelined decoder → ingest engine), and
-//! the offline multi-trace `check --jobs N` pool.
+//! (an `.hmdt` image replays block by block, decoding inline), the
+//! mmap vs buffered open path, and the offline multi-trace
+//! `check --jobs N` pool.
 //!
-//! The acceptance bar is ≥5× replay events/s for binary over JSONL and
-//! ≥3× end-to-end `check` throughput (see BENCH_PR5.json). Every bench
-//! name carries its format (`*_jsonl` / `*_binary`) so before/after
-//! phases can be assembled from one run per format.
+//! Every bench name carries its format (`*_jsonl` / `*_binary` /
+//! `*_hmdt`) so phases can be assembled from one run per format.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use heapmd::{
@@ -102,18 +101,34 @@ fn bench_trace_codec(c: &mut Criterion) {
     });
 
     // End-to-end replay from bytes to a metric report: parse + graph
-    // ingest + sampling. The binary path decodes blocks on a pipeline
-    // thread while ingestion consumes them.
+    // ingest + sampling. The image decodes each block into one reused
+    // buffer and ingests it before decoding the next.
     group.bench_function("replay_jsonl", |b| {
         b.iter(|| {
             let t = TraceReader::strict(&jsonl[..]).unwrap();
             t.replay(&settings, "bench").unwrap()
         })
     });
-    group.bench_function("replay_binary", |b| {
+    group.bench_function("replay_hmdt", |b| {
         b.iter(|| {
             let image = BinaryTraceImage::open(binary.clone()).unwrap();
-            heapmd::replay_binary(&image, &settings, "bench").unwrap()
+            image.replay(&settings, "bench", None).unwrap()
+        })
+    });
+
+    // File-to-report, open included: mmap zero-copy vs buffered read.
+    let path = &binary_pool[0];
+    group.bench_function("replay_mmap", |b| {
+        b.iter(|| {
+            let image = BinaryTraceImage::open_path(path).unwrap();
+            assert!(image.is_mapped());
+            image.replay(&settings, "bench", None).unwrap()
+        })
+    });
+    group.bench_function("replay_buffered", |b| {
+        b.iter(|| {
+            let image = BinaryTraceImage::open_path_buffered(path).unwrap();
+            image.replay(&settings, "bench", None).unwrap()
         })
     });
 
@@ -123,17 +138,17 @@ fn bench_trace_codec(c: &mut Criterion) {
     for jobs in [1usize, 2, 8] {
         group.bench_function(BenchmarkId::new("check_jsonl_jobs", jobs), |b| {
             b.iter(|| {
-                heapmd::check_paths_parallel(&jsonl_pool, &model, &settings, jobs, false)
+                heapmd::check_paths(&jsonl_pool, &model, &settings, jobs, false, None)
                     .into_iter()
-                    .map(|r| r.unwrap().len())
+                    .map(|r| r.unwrap().bugs.len())
                     .sum::<usize>()
             })
         });
-        group.bench_function(BenchmarkId::new("check_binary_jobs", jobs), |b| {
+        group.bench_function(BenchmarkId::new("check_hmdt_jobs", jobs), |b| {
             b.iter(|| {
-                heapmd::check_paths_parallel(&binary_pool, &model, &settings, jobs, false)
+                heapmd::check_paths(&binary_pool, &model, &settings, jobs, false, None)
                     .into_iter()
-                    .map(|r| r.unwrap().len())
+                    .map(|r| r.unwrap().bugs.len())
                     .sum::<usize>()
             })
         });

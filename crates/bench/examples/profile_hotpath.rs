@@ -1,9 +1,8 @@
 //! Splits the graph_update bench cost between the simulated heap and
 //! the heap-graph, so optimization effort goes where the time is —
 //! plus a codec section showing what block-decode buffer reuse saves
-//! on the replay hot path, and a shard-scaling section that reports
-//! where the sharded replay driver's worker threads spend their time
-//! (per-shard busy-ns from the obs stage counters).
+//! on the replay hot path, and the image replay engine's per-event
+//! cost.
 //!
 //! Run: `cargo run --release -p heapmd-bench --example profile_hotpath`
 
@@ -109,9 +108,9 @@ fn main() {
     });
 
     // Codec hot path: decoding the same multi-block binary trace with
-    // one reused event buffer vs. a fresh allocation per block. The
-    // pipelined replay engine recycles buffers through a return
-    // channel, so the "reused buffer" line is the shipping behavior.
+    // one reused event buffer vs. a fresh allocation per block. Image
+    // replay decodes every block into one buffer, so the "reused
+    // buffer" line is the shipping behavior.
     let image = {
         let settings = Settings::builder().frq(100).build().unwrap();
         let mut p = Process::new(settings);
@@ -146,65 +145,12 @@ fn main() {
         }
     });
 
-    // Sharded replay: wall-clock per engine, then a per-shard busy-ns
-    // breakdown from the obs stage counters the driver records
-    // (`shard_worker_{w}_busy_ns_total`). On a single core the workers
-    // serialize, so busy-ns ≈ the degree-counting work each shard
-    // owns — the breakdown shows load balance, not parallel speedup.
+    // The replay engine over the image: inline block decode into one
+    // reused buffer, then graph ingest.
     let settings = Settings::builder().frq(100).build().unwrap();
     let replay_events = image.index().total_events;
-    println!("\nreplay engines ({replay_events} events):");
-    time_events("replay: pipelined", replay_events, &mut || {
-        heapmd::replay_binary(&image, &settings, "prof").unwrap();
+    println!("\nreplay engine ({replay_events} events):");
+    time_events("replay: image", replay_events, &mut || {
+        image.replay(&settings, "prof", None).unwrap();
     });
-    time_events("replay: fused", replay_events, &mut || {
-        heapmd::replay_binary_fused(&image, &settings, "prof").unwrap();
-    });
-    for shards in [2usize, 4, 8] {
-        time_events(
-            &format!("replay: {shards} shards"),
-            replay_events,
-            &mut || {
-                heapmd::replay_binary_sharded(&image, &settings, "prof", shards).unwrap();
-            },
-        );
-    }
-
-    // One instrumented run per shard count: counter deltas isolate
-    // this run's contribution from anything recorded earlier.
-    heapmd_obs::set_enabled(true);
-    for shards in [2usize, 4, 8] {
-        let reg = heapmd_obs::registry();
-        let before: Vec<(u64, u64)> = (0..shards)
-            .map(|w| {
-                (
-                    reg.counter(&format!("shard_worker_{w}_busy_ns_total"))
-                        .get(),
-                    reg.counter(&format!("shard_worker_{w}_events_total")).get(),
-                )
-            })
-            .collect();
-        heapmd::replay_binary_sharded(&image, &settings, "prof", shards).unwrap();
-        println!("shard busy-ns breakdown ({shards} shards):");
-        for (w, (busy0, ev0)) in before.into_iter().enumerate() {
-            let busy = reg
-                .counter(&format!("shard_worker_{w}_busy_ns_total"))
-                .get()
-                .saturating_sub(busy0);
-            let ev = reg
-                .counter(&format!("shard_worker_{w}_events_total"))
-                .get()
-                .saturating_sub(ev0);
-            println!(
-                "  shard {w}: {:>10.1} µs busy, {ev:>7} degree ops ({:>5.1} ns/op)",
-                busy as f64 / 1e3,
-                if ev == 0 {
-                    0.0
-                } else {
-                    busy as f64 / ev as f64
-                }
-            );
-        }
-    }
-    heapmd_obs::set_enabled(false);
 }

@@ -1,5 +1,6 @@
 //! The experiments behind every figure and table of the paper.
 
+use crate::swat_baseline::{SwatConfig, SwatDetector};
 use crate::table::{f1, Table};
 use crate::Effort;
 use faults::FaultPlan;
@@ -10,7 +11,6 @@ use heapmd::{
 };
 use std::cell::RefCell;
 use std::rc::Rc;
-use crate::swat_baseline::{SwatConfig, SwatDetector};
 use workloads::bugs::{BugSpec, SwatOnlyLeak, CATALOG, SWAT_ONLY};
 use workloads::harness::{run_once, settings_for, train};
 use workloads::{commercial_at_version, registry, Input, Workload};
@@ -965,7 +965,9 @@ fn reexecute_unmonitored(image: &heapmd::BinaryTraceImage, buf: &mut Vec<sim_hea
             .expect("bench image decodes");
         for ev in buf.iter() {
             match *ev {
-                HeapEvent::Alloc { obj, size, site, .. } => {
+                HeapEvent::Alloc {
+                    obj, size, site, ..
+                } => {
                     let a = heap.alloc(size, site).expect("replayed alloc").addr;
                     let idx = obj.0 as usize;
                     if base.len() <= idx {
@@ -976,7 +978,9 @@ fn reexecute_unmonitored(image: &heapmd::BinaryTraceImage, buf: &mut Vec<sim_hea
                 HeapEvent::Free { obj, .. } => {
                     heap.free(base[obj.0 as usize]).expect("replayed free");
                 }
-                HeapEvent::PtrWrite { src, offset, value, .. } => {
+                HeapEvent::PtrWrite {
+                    src, offset, value, ..
+                } => {
                     let _ = heap.write_ptr(base[src.0 as usize].offset(offset), value);
                 }
                 HeapEvent::ScalarWrite { src, offset, .. } => {
@@ -1017,7 +1021,10 @@ pub fn sampling_sweep(effort: Effort) -> (Vec<SamplingSweepRow>, String) {
         ("default", Some(SamplerConfig::default()), false),
         (
             "decim128",
-            Some(SamplerConfig::new(SamplerConfig::DEFAULT_HOT_THRESHOLD, 128)),
+            Some(SamplerConfig::new(
+                SamplerConfig::DEFAULT_HOT_THRESHOLD,
+                128,
+            )),
             false,
         ),
         ("default_matched", Some(SamplerConfig::default()), true),
@@ -1054,15 +1061,9 @@ pub fn sampling_sweep(effort: Effort) -> (Vec<SamplingSweepRow>, String) {
             } else {
                 model.clone()
             };
-            let monitored_ns = match config {
-                None => median_ns(timing_iters, || {
-                    heapmd::replay_binary_fused(&image, &settings, "sweep").expect("replays");
-                }),
-                Some(c) => median_ns(timing_iters, || {
-                    heapmd::replay_binary_fused_sampled(&image, &settings, "sweep", c)
-                        .expect("replays");
-                }),
-            } / events;
+            let monitored_ns = median_ns(timing_iters, || {
+                image.replay(&settings, "sweep", config).expect("replays");
+            }) / events;
             let effective_rate = config.map_or(1.0, |c| trace.sampled(c).sample_rate());
             set_default_sampler(config);
             let mut detected = 0;

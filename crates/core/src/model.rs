@@ -156,9 +156,9 @@ pub const MODEL_FORMAT_VERSION: u32 = 2;
 /// point so degenerate flat ranges still get slack).
 ///
 /// Exactly `0.0` at `rate >= 1.0`, which keeps unsampled verdicts
-/// bit-identical to pre-sampling builds.
+/// bit-identical to pre-sampling builds, and for a NaN rate.
 pub fn sampling_widen(width: f64, rate: f64) -> f64 {
-    if !(rate < 1.0) {
+    if rate >= 1.0 || rate.is_nan() {
         return 0.0;
     }
     let r = rate.clamp(1e-6, 1.0);
@@ -372,10 +372,7 @@ impl HeapModel {
         if !self.sample_rate.is_finite() || self.sample_rate <= 0.0 || self.sample_rate > 1.0 {
             return Err(HeapMdError::corrupt(
                 0,
-                format!(
-                    "model sample_rate {} is outside (0, 1]",
-                    self.sample_rate
-                ),
+                format!("model sample_rate {} is outside (0, 1]", self.sample_rate),
             ));
         }
         Ok(())

@@ -8,7 +8,7 @@ use crate::settings::Settings;
 use crate::trace::Trace;
 use crate::trace_codec::{BinaryTraceWriter, StreamFormat};
 use crate::trace_stream::TraceWriter;
-use heap_graph::GraphImage;
+use heap_graph::HeapGraph;
 use heapmd_obs::SeriesRecorder;
 use sim_heap::{Addr, AllocSite, HeapError, HeapEvent, SimHeap, NULL};
 use std::cell::RefCell;
@@ -24,7 +24,7 @@ use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 /// `free`, `write_ptr`, `enter`/`leave`, …). The process:
 ///
 /// * forwards each operation to the [`SimHeap`];
-/// * keeps the heap-graph image ([`GraphImage`]) in sync;
+/// * keeps the heap-graph image ([`HeapGraph`]) in sync;
 /// * counts function entries and, once every `settings.frq` of them,
 ///   records a [`MetricSample`] (a *metric computation point*);
 /// * fans events and samples out to attached [`Monitor`]s (the anomaly
@@ -51,7 +51,7 @@ use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 /// ```
 pub struct Process {
     heap: SimHeap,
-    graph: GraphImage,
+    graph: HeapGraph,
     funcs: FunctionTable,
     stack: Vec<FuncId>,
     sites: HashMap<String, AllocSite>,
@@ -85,17 +85,9 @@ pub struct Process {
 impl Process {
     /// Creates a fresh process under the given settings.
     pub fn new(settings: Settings) -> Self {
-        Process::with_shards(settings, 1)
-    }
-
-    /// Creates a process whose heap-graph image is partitioned into
-    /// `shards` address-range shards (1 = the classic single-slab
-    /// graph). Shard count changes storage layout only: samples,
-    /// histograms, and metrics are bit-identical across counts.
-    pub fn with_shards(settings: Settings, shards: usize) -> Self {
         Process {
             heap: SimHeap::new(),
-            graph: GraphImage::new(shards),
+            graph: HeapGraph::new(),
             funcs: FunctionTable::new(),
             stack: Vec::new(),
             sites: HashMap::new(),
@@ -276,7 +268,7 @@ impl Process {
     }
 
     /// The heap-graph image (read-only).
-    pub fn graph(&self) -> &GraphImage {
+    pub fn graph(&self) -> &HeapGraph {
         &self.graph
     }
 
@@ -697,7 +689,6 @@ impl Process {
 
     fn sample(&mut self) {
         let _span = heapmd_obs::span!("metric_computation_point");
-        self.graph.reconcile();
         let ext = self.graph.extended_metrics();
         let sample = MetricSample {
             seq: self.samples.len(),
@@ -788,9 +779,7 @@ impl TraceSink {
             // The framed-JSONL format has no meta record; sampling
             // metadata rides only on the binary codec.
             TraceSink::Jsonl(_) => Ok(()),
-            TraceSink::Binary(w) => {
-                w.write_meta(&crate::trace_codec::encode_sampling_meta(info))
-            }
+            TraceSink::Binary(w) => w.write_meta(&crate::trace_codec::encode_sampling_meta(info)),
         }
     }
 

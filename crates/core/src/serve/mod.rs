@@ -60,14 +60,13 @@ use crate::incident::IncidentLog;
 use crate::model::HeapModel;
 use crate::report::MetricSample;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
-use crate::trace::{Replayer, Trace};
+use crate::trace::{check, EventSource, Replayer, Trace};
 use crate::trace_codec::{BinaryTraceWriter, BlockIndex, WireFrame, WireReader};
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
 };
 use heapmd_runstore::{RowKind, RunStore};
 use sim_heap::HeapEvent;
-use swat::{SamplerConfig, SamplingInfo};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -79,6 +78,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use swat::{SamplerConfig, SamplingInfo};
 
 pub use client::{
     connect_session, push_trace_resumable, Conn, Dialer, RetryPolicy, SessionClient, SessionOptions,
@@ -577,9 +577,7 @@ fn finalize(
     partial: bool,
     evicted: Option<String>,
     cleanup: Vec<PathBuf>,
-    incident_dir: Option<&PathBuf>,
-    run_store: Option<&RunStore>,
-    sampler: Option<SamplerConfig>,
+    ctx: &ShardCtx,
 ) -> TenantOutcome {
     if evicted.is_some() {
         t.stats.set_evicted();
@@ -595,25 +593,31 @@ fn finalize(
     }
     trace.set_functions(std::mem::take(&mut t.functions));
     trace.set_sampling(t.sampling);
-    // Daemon-side production-overhead mode: re-sample full-fidelity
-    // streams before the authoritative check. Streams that arrived
-    // sampled keep their recorded schedule.
-    let trace = match sampler {
-        Some(config) if trace.sampling().is_none() => {
-            let sampled = trace.sampled(config);
-            t.stats.set_sample_rate(sampled.sample_rate());
-            sampled
-        }
-        _ => trace,
-    };
     // Tenant names are charset-validated (no separators), so they are
     // safe as directory names.
-    let log = incident_dir.map(|d| IncidentLog::new(d.join(&tenant), tenant.clone()));
-    let outcome = match trace.check_logged(&model, &model.settings, log) {
+    let log = ctx
+        .incident_dir
+        .as_ref()
+        .map(|d| IncidentLog::new(d.join(&tenant), tenant.clone()));
+    // Daemon-side production-overhead mode: the check re-samples
+    // full-fidelity streams; streams that arrived sampled keep their
+    // recorded schedule.
+    let checked = check(
+        EventSource::Memory(&trace),
+        &model,
+        &model.settings,
+        ctx.sampler,
+        log,
+    );
+    let outcome = match checked {
         Ok(out) => {
+            let sample_rate = out.sampling.map_or(1.0, |s| s.rate());
+            if trace.sampling().is_none() && out.sampling.is_some() {
+                t.stats.set_sample_rate(sample_rate);
+            }
             t.stats.record_bugs(out.bugs.len() as u64);
             t.stats.add_incidents(out.bundle_paths.len() as u64);
-            if let Some(store) = run_store {
+            if let Some(store) = ctx.run_store.as_deref() {
                 let src = RowSource {
                     workload: model.program.clone(),
                     version: 0,
@@ -621,7 +625,7 @@ fn finalize(
                     tenant: tenant.clone(),
                     kind: RowKind::Serve,
                     time: unix_time_now(),
-                    sample_rate: trace.sample_rate(),
+                    sample_rate,
                 };
                 let rows = rows_from_samples(&src, &out.samples);
                 if let Err(e) = store.append(&rows) {
@@ -673,12 +677,14 @@ fn finalize(
 /// streams' replayers are dropped instead of pooled.
 const REPLAYER_POOL_CAP: usize = 8;
 
-fn shard_loop(
-    rx: Receiver<ShardMsg>,
+/// Daemon-wide settings every shard loop applies at finalize.
+struct ShardCtx {
     incident_dir: Option<PathBuf>,
     run_store: Option<Arc<RunStore>>,
     sampler: Option<SamplerConfig>,
-) -> Vec<TenantOutcome> {
+}
+
+fn shard_loop(rx: Receiver<ShardMsg>, ctx: ShardCtx) -> Vec<TenantOutcome> {
     let mut tenants: BTreeMap<String, ShardTenant> = BTreeMap::new();
     let mut outcomes = Vec::new();
     // Recycled replayers: a finished stream's replayer goes back here
@@ -790,28 +796,10 @@ fn shard_loop(
                         index.total_events,
                         t.events.len()
                     );
-                    outcomes.push(finalize(
-                        t,
-                        tenant,
-                        true,
-                        Some(reason),
-                        cleanup,
-                        incident_dir.as_ref(),
-                        run_store.as_deref(),
-                        sampler,
-                    ));
+                    outcomes.push(finalize(t, tenant, true, Some(reason), cleanup, &ctx));
                     continue;
                 }
-                outcomes.push(finalize(
-                    t,
-                    tenant,
-                    false,
-                    None,
-                    cleanup,
-                    incident_dir.as_ref(),
-                    run_store.as_deref(),
-                    sampler,
-                ));
+                outcomes.push(finalize(t, tenant, false, None, cleanup, &ctx));
             }
             ShardMsg::Abort {
                 tenant,
@@ -824,16 +812,7 @@ fn shard_loop(
                 };
                 recycle(&mut t, &mut replayer_pool);
                 let evicted = evict.then_some(reason);
-                outcomes.push(finalize(
-                    t,
-                    tenant,
-                    true,
-                    evicted,
-                    cleanup,
-                    incident_dir.as_ref(),
-                    run_store.as_deref(),
-                    sampler,
-                ));
+                outcomes.push(finalize(t, tenant, true, evicted, cleanup, &ctx));
             }
         }
     }
@@ -841,16 +820,7 @@ fn shard_loop(
     // whatever streams never sent an explicit end. Journals stay on
     // disk so a restarted daemon can pick the sessions back up.
     for (tenant, t) in tenants {
-        outcomes.push(finalize(
-            t,
-            tenant,
-            true,
-            None,
-            Vec::new(),
-            incident_dir.as_ref(),
-            run_store.as_deref(),
-            sampler,
-        ));
+        outcomes.push(finalize(t, tenant, true, None, Vec::new(), &ctx));
     }
     outcomes
 }
@@ -1256,13 +1226,15 @@ impl Server {
         for i in 0..shard_count {
             let (tx, rx) = channel();
             senders.push(tx);
-            let incident_dir = config.incident_dir.clone();
-            let run_store = run_store.clone();
-            let sampler = config.sampler;
+            let ctx = ShardCtx {
+                incident_dir: config.incident_dir.clone(),
+                run_store: run_store.clone(),
+                sampler: config.sampler,
+            };
             shards.push(
                 std::thread::Builder::new()
                     .name(format!("hmd-shard-{i}"))
-                    .spawn(move || shard_loop(rx, incident_dir, run_store, sampler))?,
+                    .spawn(move || shard_loop(rx, ctx))?,
             );
         }
         let ctx = Arc::new(ServeCtx {

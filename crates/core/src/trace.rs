@@ -15,9 +15,12 @@ use crate::model::HeapModel;
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
-use heap_graph::GraphImage;
+use crate::trace_codec::{BinaryTraceImage, EVENTS_PER_BLOCK};
+use crate::trace_stream::SalvageStats;
+use heap_graph::HeapGraph;
 use serde::{Deserialize, Serialize};
 use sim_heap::{HeapEvent, SimHeap};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 
@@ -117,34 +120,6 @@ impl Trace {
         }
     }
 
-    /// Checks that every `FnEnter`/`FnExit` event references an id
-    /// inside the interned `functions` table. An empty table means
-    /// anonymous frames, where any id is legal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapMdError::InvalidInput`] naming the first event
-    /// whose function id falls outside the table.
-    fn validate_function_ids(&self) -> Result<(), HeapMdError> {
-        if self.functions.is_empty() {
-            return Ok(());
-        }
-        let table_len = self.functions.len();
-        for (i, ev) in self.events.iter().enumerate() {
-            let func = match *ev {
-                HeapEvent::FnEnter { func } | HeapEvent::FnExit { func } => func,
-                _ => continue,
-            };
-            if func as usize >= table_len {
-                return Err(HeapMdError::InvalidInput(format!(
-                    "event {i} references function id {func}, but the trace \
-                     interns only {table_len} function names"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Serializes the trace to JSON.
     ///
     /// # Errors
@@ -199,13 +174,11 @@ impl Trace {
         settings: &Settings,
         run: impl Into<String>,
     ) -> Result<MetricReport, HeapMdError> {
-        self.validate_function_ids()?;
-        let mut replayer = Replayer::new(settings.clone(), &self.functions);
-        replayer.ingest_batch(&self.events);
+        let replayed = replay(EventSource::Memory(self), settings, None, None)?;
         Ok(MetricReport::with_sample_rate(
             run,
-            replayer.take_samples(),
-            self.sample_rate(),
+            replayed.samples,
+            replayed.sampling.map_or(1.0, |s| s.rate()),
         ))
     }
 
@@ -242,49 +215,12 @@ impl Trace {
         settings: &Settings,
         log: Option<IncidentLog>,
     ) -> Result<TraceCheckOutcome, HeapMdError> {
-        self.validate_function_ids()?;
-        // The trace's length is known up front: align the startup skip
-        // with the trim model construction applied (as
-        // [`AnomalyDetector::check_report`] does).
-        let fn_entries = self
-            .events
-            .iter()
-            .filter(|e| matches!(e, HeapEvent::FnEnter { .. }))
-            .count() as u64;
-        let total_samples = (fn_entries / settings.frq) as usize;
-        let mut settings = settings.clone();
-        settings.warmup_samples = settings
-            .warmup_samples
-            .max(settings.trim_count(total_samples));
-        let settings = settings;
-        let mut detector = AnomalyDetector::new(model.clone(), settings.clone());
-        if let Some(log) = log {
-            detector.log_incidents_to(log);
-        }
-        let mut replayer = Replayer::new(settings.clone(), &self.functions);
-        // The recorded stream is already decimated; the filter stays
-        // off, but the detector must still see the measured rate so its
-        // ranges widen accordingly.
-        replayer.set_rate_override(self.sample_rate());
-        let mut monitors: [&mut dyn Monitor; 1] = [&mut detector];
-        for ev in &self.events {
-            replayer.step(ev, &mut monitors);
-        }
-        replayer.finish(&mut monitors);
-        Ok(TraceCheckOutcome {
-            bundle_paths: detector
-                .incident_log()
-                .map(|l| l.paths().to_vec())
-                .unwrap_or_default(),
-            bugs: detector.take_bugs(),
-            incidents: detector.take_incidents(),
-            candidate_findings: detector.take_candidate_findings(),
-            samples: replayer.take_samples(),
-        })
+        check(EventSource::Memory(self), model, settings, None, log)
     }
 }
 
-/// What a logged offline check produced (see [`Trace::check_logged`]).
+/// What one offline check produced (see [`Trace::check_logged`] and
+/// [`crate::check_paths`]).
 #[derive(Debug)]
 pub struct TraceCheckOutcome {
     /// The detector's bug reports.
@@ -301,18 +237,25 @@ pub struct TraceCheckOutcome {
     /// [`Trace::replay`] would produce, exposed so callers (e.g. the
     /// run-store append path) need not replay the trace twice.
     pub samples: Vec<MetricSample>,
+    /// The sampling outcome of the checked stream: what the live
+    /// filter measured when the check re-sampled it, the recorded
+    /// outcome for an already-sampled trace, `None` when exact.
+    pub sampling: Option<SamplingInfo>,
+    /// What salvage recovered, when the trace was loaded in salvage
+    /// mode.
+    pub salvage: Option<SalvageStats>,
 }
 
 /// Minimal re-execution of a trace: rebuilds the heap-graph image and
 /// the sampling schedule from events alone.
 ///
-/// Crate-internal so the binary codec's pipelined engine
-/// ([`crate::trace_codec`]) can drive the same replayer block by block:
+/// [`replay`] drives it over an in-memory slice or block by block over
+/// a binary image, and the serve daemon feeds it live blocks:
 /// [`ingest_batch`](Self::ingest_batch) is resumable, carrying a running
 /// global event offset so samples land with the same `tick` whether the
 /// stream arrives as one slice or as decoded blocks.
 pub(crate) struct Replayer {
-    graph: GraphImage,
+    graph: HeapGraph,
     /// An empty heap stands in for the traced process's; monitors only
     /// use it for the logical clock, which we advance per event.
     heap: SimHeap,
@@ -339,23 +282,12 @@ pub(crate) struct Replayer {
 
 impl Replayer {
     pub(crate) fn new(settings: Settings, function_names: &[String]) -> Self {
-        Replayer::with_shards(settings, function_names, 1)
-    }
-
-    /// A replayer whose graph image is partitioned into `shards`
-    /// address-range shards (1 = the classic single-slab graph; the
-    /// observables are bit-identical either way).
-    pub(crate) fn with_shards(
-        settings: Settings,
-        function_names: &[String],
-        shards: usize,
-    ) -> Self {
         let mut funcs = FunctionTable::new();
         for name in function_names {
             funcs.intern(name);
         }
         Replayer {
-            graph: GraphImage::new(shards),
+            graph: HeapGraph::new(),
             heap: SimHeap::new(),
             funcs,
             stack: Vec::new(),
@@ -438,7 +370,6 @@ impl Replayer {
 
     /// Records a metric computation point from the current graph state.
     fn take_sample(&mut self) -> MetricSample {
-        self.graph.reconcile();
         let ext = self.graph.extended_metrics();
         let sample = MetricSample {
             seq: self.samples.len(),
@@ -464,10 +395,9 @@ impl Replayer {
     /// (unobserved) call stack, so it needs no flush.
     ///
     /// Resumable: ticks count from the running global offset, so
-    /// feeding a stream as N block-sized slices (the pipelined binary
-    /// decoder does exactly this, recycling one batch buffer instead of
-    /// allocating per block) produces samples bit-identical to one call
-    /// over the whole slice.
+    /// feeding a stream as N block-sized slices (binary images do
+    /// exactly this, decoding into one reused buffer) produces samples
+    /// bit-identical to one call over the whole slice.
     pub(crate) fn ingest_batch(&mut self, events: &[HeapEvent]) {
         if self.sampling.is_none() {
             return self.ingest_batch_raw(events);
@@ -622,6 +552,188 @@ impl Replayer {
     }
 }
 
+/// Where a replay's events come from.
+pub(crate) enum EventSource<'a> {
+    /// An in-memory trace, ingested as one slice.
+    Memory(&'a Trace),
+    /// A binary image, decoded block by block into one reused buffer.
+    Image(&'a BinaryTraceImage),
+}
+
+impl EventSource<'_> {
+    fn functions(&self) -> Result<Cow<'_, [String]>, HeapMdError> {
+        match self {
+            EventSource::Memory(trace) => Ok(Cow::Borrowed(trace.functions())),
+            EventSource::Image(image) => Ok(Cow::Owned(image.functions()?)),
+        }
+    }
+
+    fn recorded_sampling(&self) -> Result<Option<SamplingInfo>, HeapMdError> {
+        match self {
+            EventSource::Memory(trace) => Ok(trace.sampling()),
+            EventSource::Image(image) => image.sampling(),
+        }
+    }
+
+    /// Total `FnEnter` events: a count for a trace, the trailing
+    /// index's total for an image (no decode pre-pass).
+    fn fn_enters(&self) -> u64 {
+        match self {
+            EventSource::Memory(trace) => trace
+                .events()
+                .iter()
+                .filter(|e| matches!(e, HeapEvent::FnEnter { .. }))
+                .count() as u64,
+            EventSource::Image(image) => image.index().total_fn_enters,
+        }
+    }
+
+    /// Hands the stream to `ingest` in order, one validated slice at a
+    /// time.
+    fn for_each_slice(
+        &self,
+        table_len: usize,
+        mut ingest: impl FnMut(&[HeapEvent]),
+    ) -> Result<(), HeapMdError> {
+        match self {
+            EventSource::Memory(trace) => {
+                validate_function_ids(trace.events(), 0, table_len)?;
+                ingest(trace.events());
+            }
+            EventSource::Image(image) => {
+                let mut buf = Vec::with_capacity(EVENTS_PER_BLOCK);
+                let mut offset = 0;
+                for entry in image.event_blocks() {
+                    image.decode_block_into(entry, &mut buf)?;
+                    validate_function_ids(&buf, offset, table_len)?;
+                    offset += buf.len();
+                    ingest(&buf);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Checks that every `FnEnter`/`FnExit` event references an id inside
+/// an interned table of `table_len` names. An empty table means
+/// anonymous frames, where any id is legal. `offset` is the stream
+/// position of `events[0]`, for the error message.
+///
+/// # Errors
+///
+/// Returns [`HeapMdError::InvalidInput`] naming the first event whose
+/// function id falls outside the table.
+fn validate_function_ids(
+    events: &[HeapEvent],
+    offset: usize,
+    table_len: usize,
+) -> Result<(), HeapMdError> {
+    if table_len == 0 {
+        return Ok(());
+    }
+    for (i, ev) in events.iter().enumerate() {
+        let func = match *ev {
+            HeapEvent::FnEnter { func } | HeapEvent::FnExit { func } => func,
+            _ => continue,
+        };
+        if func as usize >= table_len {
+            return Err(HeapMdError::InvalidInput(format!(
+                "event {} references function id {func}, but the trace \
+                 interns only {table_len} function names",
+                offset + i
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// What one pass of the replay engine produced.
+pub(crate) struct Replayed {
+    pub(crate) samples: Vec<MetricSample>,
+    /// The live filter's measured outcome when the pass re-sampled the
+    /// stream, the recorded one for an already-sampled stream, `None`
+    /// when every store was replayed.
+    pub(crate) sampling: Option<SamplingInfo>,
+}
+
+/// The replay engine: every offline replay and check runs through here.
+///
+/// With `sampler`, an unsampled stream is re-sampled through a live
+/// [`SampledIngest`] filter, and monitors see its running measured
+/// rate, as in a live sampled [`crate::Process`]. An already-sampled
+/// stream keeps its recorded schedule (re-decimating would drop stores
+/// twice) and monitors see the recorded rate. Without a `detector` the
+/// graph ingests monitor-free through [`Replayer::ingest_batch`].
+pub(crate) fn replay(
+    source: EventSource<'_>,
+    settings: &Settings,
+    sampler: Option<SamplerConfig>,
+    detector: Option<&mut AnomalyDetector>,
+) -> Result<Replayed, HeapMdError> {
+    let functions = source.functions()?;
+    let recorded = source.recorded_sampling()?;
+    let mut replayer = Replayer::new(settings.clone(), &functions);
+    match (recorded, sampler) {
+        (Some(info), _) => replayer.set_rate_override(info.rate()),
+        (None, Some(config)) => replayer.enable_sampling(config),
+        (None, None) => {}
+    }
+    match detector {
+        Some(detector) => {
+            let mut monitors: [&mut dyn Monitor; 1] = [detector];
+            source.for_each_slice(functions.len(), |events| {
+                for ev in events {
+                    replayer.step(ev, &mut monitors);
+                }
+            })?;
+            replayer.finish(&mut monitors);
+        }
+        None => source.for_each_slice(functions.len(), |events| replayer.ingest_batch(events))?,
+    }
+    Ok(Replayed {
+        sampling: replayer.sampling_info().or(recorded),
+        samples: replayer.take_samples(),
+    })
+}
+
+/// Checks `source` against `model` post-mortem through [`replay`].
+///
+/// Unlike [`AnomalyDetector::check_report`], the detector sees the full
+/// event stream, so bug reports carry call-stack context just as in
+/// online mode. The stream's length is known up front, so the startup
+/// skip aligns with the trim model construction applied.
+pub(crate) fn check(
+    source: EventSource<'_>,
+    model: &HeapModel,
+    settings: &Settings,
+    sampler: Option<SamplerConfig>,
+    log: Option<IncidentLog>,
+) -> Result<TraceCheckOutcome, HeapMdError> {
+    let total_samples = (source.fn_enters() / settings.frq) as usize;
+    let mut settings = settings.clone();
+    settings.warmup_samples = settings
+        .warmup_samples
+        .max(settings.trim_count(total_samples));
+    let mut detector = AnomalyDetector::new(model.clone(), settings.clone());
+    if let Some(log) = log {
+        detector.log_incidents_to(log);
+    }
+    let replayed = replay(source, &settings, sampler, Some(&mut detector))?;
+    Ok(TraceCheckOutcome {
+        bundle_paths: detector
+            .incident_log()
+            .map(|l| l.paths().to_vec())
+            .unwrap_or_default(),
+        bugs: detector.take_bugs(),
+        incidents: detector.take_incidents(),
+        candidate_findings: detector.take_candidate_findings(),
+        samples: replayed.samples,
+        sampling: replayed.sampling,
+        salvage: None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,8 +797,8 @@ mod tests {
         let (trace, _) = traced_run(5, 200);
         let settings = Settings::builder().frq(5).build().unwrap();
         let whole = trace.replay(&settings, "whole").unwrap();
-        // Feed the same stream in awkwardly sized chunks, as the
-        // pipelined binary decoder does block by block.
+        // Feed the same stream in awkwardly sized chunks, as image
+        // replay does block by block.
         for chunk in [1usize, 7, 64, 1000] {
             let mut r = Replayer::new(settings.clone(), trace.functions());
             for part in trace.events().chunks(chunk) {
@@ -704,22 +816,16 @@ mod tests {
     fn reset_replayer_reproduces_a_fresh_one() {
         let (trace, _) = traced_run(5, 120);
         let settings = Settings::builder().frq(5).build().unwrap();
-        for shards in [1usize, 4] {
-            let mut fresh = Replayer::with_shards(settings.clone(), trace.functions(), shards);
-            fresh.ingest_batch(trace.events());
-            let want = fresh.take_samples();
-            // Dirty a replayer with a different stream, then reset it.
-            let (other, _) = traced_run(3, 77);
-            let mut reused = Replayer::with_shards(settings.clone(), other.functions(), shards);
-            reused.ingest_batch(other.events());
-            reused.reset(settings.clone(), trace.functions());
-            reused.ingest_batch(trace.events());
-            assert_eq!(
-                reused.take_samples(),
-                want,
-                "reset replayer diverged (shards={shards})"
-            );
-        }
+        let mut fresh = Replayer::new(settings.clone(), trace.functions());
+        fresh.ingest_batch(trace.events());
+        let want = fresh.take_samples();
+        // Dirty a replayer with a different stream, then reset it.
+        let (other, _) = traced_run(3, 77);
+        let mut reused = Replayer::new(settings.clone(), other.functions());
+        reused.ingest_batch(other.events());
+        reused.reset(settings.clone(), trace.functions());
+        reused.ingest_batch(trace.events());
+        assert_eq!(reused.take_samples(), want, "reset replayer diverged");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Compact block-based binary trace format (`.hmdt`) and the
-//! pipelined/parallel replay engine built on top of it.
+//! Compact block-based binary trace format (`.hmdt`), its replay, and
+//! the parallel multi-trace check pool.
 //!
 //! The CRC-framed JSONL stream (`trace_stream`) made traces crash-safe,
 //! but every event still pays a JSON encode/decode on each process
@@ -38,30 +38,24 @@
 //! payload lists `(offset, kind, count)` for every preceding block and
 //! ends with the stream's total event and `FnEnter` counts.
 //!
-//! # Pipelined replay
+//! # Replay
 //!
-//! [`replay_binary`] and [`check_binary`] run a decoder thread that
-//! streams decoded blocks over a bounded channel into graph ingestion
-//! (`HeapGraph::apply_batch` via the replayer) while the next block
-//! decodes; event-batch buffers are recycled through a return channel,
-//! so steady-state replay allocates nothing per block.
-//! [`check_traces_parallel`] / [`check_paths_parallel`] fan N traces
-//! out across a scoped thread pool and merge `BugReport`s in input
-//! order — the same determinism discipline as
-//! `ModelBuilder::add_runs_parallel`.
+//! [`BinaryTraceImage::replay`] and [`check_paths`] run the crate's one
+//! replay engine over an image: each block decodes into one reused
+//! buffer on the calling thread and is ingested immediately, so replay
+//! allocates nothing per block. [`check_paths`] fans N traces out
+//! across a scoped thread pool and merges outcomes in input order.
 
-use crate::bug::BugReport;
 use crate::error::HeapMdError;
 use crate::model::HeapModel;
 use crate::persist::crc32;
 use crate::report::MetricReport;
 use crate::settings::Settings;
-use crate::trace::{Replayer, Trace};
+use crate::trace::{check, replay, EventSource, Trace, TraceCheckOutcome};
 use crate::trace_stream::SalvageStats;
 use sim_heap::{Addr, AllocSite, HeapEvent, ObjectId};
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::mpsc;
 use swat::{SamplerConfig, SamplingInfo};
 
 /// Magic prefix of a binary trace file (the trailing newline guards
@@ -88,15 +82,13 @@ pub(crate) const BLOCK_HEADER_LEN: usize = 4 + 1 + 4 + 4 + 4;
 pub(crate) const HEADER_LEN: usize = 8;
 
 /// Events per full block. Large enough to amortize header + dispatch,
-/// small enough that salvage loses little and the pipeline stays busy.
+/// small enough that salvage loses little and the reused decode buffer
+/// stays small.
 pub const EVENTS_PER_BLOCK: usize = 4096;
 
 /// Upper bound on a declared block payload, so a corrupted length field
 /// cannot drive a reader into a multi-gigabyte copy.
 pub(crate) const MAX_BLOCK_LEN: u32 = 1 << 24;
-
-/// Bounded depth of the decoder → ingestion channel.
-const PIPELINE_DEPTH: usize = 4;
 
 /// Block kinds.
 pub(crate) const KIND_EVENTS: u8 = 1;
@@ -946,6 +938,35 @@ impl BinaryTraceImage {
             .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))
     }
 
+    /// Replays the image, recomputing the metric report under
+    /// `settings` exactly as [`Trace::replay`] would on the decoded
+    /// events, without materializing them: each block decodes into one
+    /// reused buffer and is ingested immediately.
+    ///
+    /// With `sampler`, an unsampled recording is re-sampled through a
+    /// live [`swat::SampledIngest`] filter, as a production process
+    /// monitoring behind it would have seen the stream; the report's
+    /// `sample_rate` is then the measured rate. An already-sampled
+    /// recording keeps its recorded schedule.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapMdError::Corrupt`] on block damage,
+    /// [`HeapMdError::InvalidInput`] on out-of-table function ids.
+    pub fn replay(
+        &self,
+        settings: &Settings,
+        run: impl Into<String>,
+        sampler: Option<SamplerConfig>,
+    ) -> Result<MetricReport, HeapMdError> {
+        let replayed = replay(EventSource::Image(self), settings, sampler, None)?;
+        Ok(MetricReport::with_sample_rate(
+            run,
+            replayed.samples,
+            replayed.sampling.map_or(1.0, |s| s.rate()),
+        ))
+    }
+
     /// Decodes everything into an in-memory [`Trace`], verifying the
     /// declared totals.
     ///
@@ -1493,359 +1514,45 @@ pub fn decode_meta_container(bytes: &[u8]) -> Result<Vec<u8>, HeapMdError> {
 }
 
 // ---------------------------------------------------------------------
-// Pipelined replay / check
-// ---------------------------------------------------------------------
-
-/// Drives `consume` with decoded event blocks while a decoder thread
-/// works ahead over a bounded channel. Buffers are recycled through a
-/// return channel, so steady state allocates nothing per block.
-fn pipeline_blocks<E: Send>(
-    image: &BinaryTraceImage,
-    mut consume: impl FnMut(&[HeapEvent]) -> Result<(), E>,
-) -> Result<(), HeapMdError>
-where
-    HeapMdError: From<E>,
-{
-    let (full_tx, full_rx) = mpsc::sync_channel::<Vec<HeapEvent>>(PIPELINE_DEPTH);
-    let (empty_tx, empty_rx) = mpsc::channel::<Vec<HeapEvent>>();
-    for _ in 0..=PIPELINE_DEPTH {
-        empty_tx
-            .send(Vec::with_capacity(EVENTS_PER_BLOCK))
-            .expect("receiver is alive");
-    }
-    std::thread::scope(|scope| -> Result<(), HeapMdError> {
-        let decoder = scope.spawn(move || -> Result<(), HeapMdError> {
-            for entry in image.event_blocks() {
-                let mut buf = empty_rx.recv().expect("ingest side holds the sender");
-                image.decode_block_into(entry, &mut buf)?;
-                if full_tx.send(buf).is_err() {
-                    // Ingestion bailed; its error wins.
-                    return Ok(());
-                }
-            }
-            Ok(())
-        });
-        let mut ingest_result: Result<(), HeapMdError> = Ok(());
-        for buf in full_rx {
-            if ingest_result.is_ok() {
-                ingest_result = consume(&buf).map_err(HeapMdError::from);
-            }
-            // Keep draining (and recycling) so the decoder never blocks
-            // on a full channel after an ingest error.
-            let _ = empty_tx.send(buf);
-        }
-        decoder.join().expect("decoder thread panicked")?;
-        ingest_result
-    })
-}
-
-/// Replays a binary trace image end to end — decoder thread + graph
-/// ingestion pipeline — recomputing the metric report under
-/// `settings`, exactly as [`Trace::replay`] would on the decoded
-/// events.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] on block damage,
-/// [`HeapMdError::InvalidInput`] on out-of-table function ids.
-pub fn replay_binary(
-    image: &BinaryTraceImage,
-    settings: &Settings,
-    run: impl Into<String>,
-) -> Result<MetricReport, HeapMdError> {
-    let functions = image.functions()?;
-    let table_len = functions.len();
-    let rate = image.sampling()?.map_or(1.0, |s| s.rate());
-    let mut replayer = Replayer::new(settings.clone(), &functions);
-    pipeline_blocks(image, |events| -> Result<(), HeapMdError> {
-        if table_len > 0 {
-            validate_block_function_ids(events, table_len)?;
-        }
-        replayer.ingest_batch(events);
-        Ok(())
-    })?;
-    Ok(MetricReport::with_sample_rate(
-        run,
-        replayer.take_samples(),
-        rate,
-    ))
-}
-
-/// Replays a binary trace image on the calling thread: each block
-/// decodes into one reused buffer and is ingested immediately — no
-/// decoder thread, no channel hand-off.
-///
-/// On machines with spare cores the pipelined [`replay_binary`] hides
-/// decode behind ingest; on saturated or single-core hosts the fused
-/// loop wins because it spends nothing on synchronization. This is the
-/// `--shards 1` engine of the sharded replay driver.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`], exactly as
-/// [`replay_binary`].
-pub fn replay_binary_fused(
-    image: &BinaryTraceImage,
-    settings: &Settings,
-    run: impl Into<String>,
-) -> Result<MetricReport, HeapMdError> {
-    let functions = image.functions()?;
-    let table_len = functions.len();
-    let rate = image.sampling()?.map_or(1.0, |s| s.rate());
-    let mut replayer = Replayer::new(settings.clone(), &functions);
-    let mut buf = Vec::with_capacity(EVENTS_PER_BLOCK);
-    for entry in image.event_blocks() {
-        image.decode_block_into(entry, &mut buf)?;
-        if table_len > 0 {
-            validate_block_function_ids(&buf, table_len)?;
-        }
-        replayer.ingest_batch(&buf);
-    }
-    Ok(MetricReport::with_sample_rate(
-        run,
-        replayer.take_samples(),
-        rate,
-    ))
-}
-
-/// [`replay_binary_fused`] with a live [`swat::SampledIngest`] filter
-/// in front of graph ingestion: re-samples the (unsampled) recorded
-/// stream under `config`, exactly as a production process monitoring
-/// behind the filter would have seen it. Returns the report — whose
-/// `sample_rate` is the *measured* rate — plus the full
-/// [`SamplingInfo`].
-///
-/// The result is bit-identical to recording the trace through a
-/// sampled [`crate::Process`] and replaying that artifact: with
-/// `decimation == 1` it matches [`replay_binary_fused`] sample for
-/// sample.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`], exactly as
-/// [`replay_binary_fused`].
-pub fn replay_binary_fused_sampled(
-    image: &BinaryTraceImage,
-    settings: &Settings,
-    run: impl Into<String>,
-    config: SamplerConfig,
-) -> Result<(MetricReport, SamplingInfo), HeapMdError> {
-    let functions = image.functions()?;
-    let table_len = functions.len();
-    let mut replayer = Replayer::new(settings.clone(), &functions);
-    replayer.enable_sampling(config);
-    let mut buf = Vec::with_capacity(EVENTS_PER_BLOCK);
-    for entry in image.event_blocks() {
-        image.decode_block_into(entry, &mut buf)?;
-        if table_len > 0 {
-            validate_block_function_ids(&buf, table_len)?;
-        }
-        replayer.ingest_batch(&buf);
-    }
-    let info = replayer
-        .sampling_info()
-        .expect("sampling was enabled above");
-    let samples = replayer.take_samples();
-    Ok((MetricReport::with_sample_rate(run, samples, info.rate()), info))
-}
-
-/// Checks a binary trace image against `model` post-mortem through the
-/// same pipeline. The trailing index supplies the total `FnEnter`
-/// count, so the startup-skip alignment of [`Trace::check`] holds
-/// without a decode pre-pass.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`].
-pub fn check_binary(
-    image: &BinaryTraceImage,
-    model: &HeapModel,
-    settings: &Settings,
-) -> Result<Vec<BugReport>, HeapMdError> {
-    check_binary_sharded(image, model, settings, 1)
-}
-
-/// [`check_binary`] over a sharded graph image: the replayer's heap
-/// graph is partitioned into `shards` address-range shards (`<= 1` is
-/// the classic single-slab layout). Detection runs inline on the
-/// replay thread either way — the detector observes every event — and
-/// verdicts are bit-identical at every shard count, so a pool checking
-/// fewer traces than it has job slots can hand its idle capacity to
-/// intra-trace shards without perturbing results.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`].
-pub fn check_binary_sharded(
-    image: &BinaryTraceImage,
-    model: &HeapModel,
-    settings: &Settings,
-    shards: usize,
-) -> Result<Vec<BugReport>, HeapMdError> {
-    let functions = image.functions()?;
-    let table_len = functions.len();
-    let total_samples = (image.index().total_fn_enters / settings.frq) as usize;
-    let mut settings = settings.clone();
-    settings.warmup_samples = settings
-        .warmup_samples
-        .max(settings.trim_count(total_samples));
-    let mut detector = crate::detector::AnomalyDetector::new(model.clone(), settings.clone());
-    let mut replayer = Replayer::with_shards(settings, &functions, shards);
-    // An already-decimated recording carries its measured rate in a
-    // meta block; the detector widens its ranges by it.
-    replayer.set_rate_override(image.sampling()?.map_or(1.0, |s| s.rate()));
-    pipeline_blocks(image, |events| -> Result<(), HeapMdError> {
-        if table_len > 0 {
-            validate_block_function_ids(events, table_len)?;
-        }
-        let mut monitors: [&mut dyn crate::monitor::Monitor; 1] = [&mut detector];
-        for ev in events {
-            replayer.step(ev, &mut monitors);
-        }
-        Ok(())
-    })?;
-    let mut monitors: [&mut dyn crate::monitor::Monitor; 1] = [&mut detector];
-    replayer.finish(&mut monitors);
-    Ok(detector.take_bugs())
-}
-
-/// [`check_binary_sharded`] with a live [`swat::SampledIngest`] filter
-/// re-sampling the (unsampled) stream under `config` before detection:
-/// the production-overhead verdict for a full-fidelity recording. The
-/// detector observes the measured effective rate as it evolves and
-/// widens its calibrated ranges accordingly. With `decimation == 1`
-/// the verdicts are bit-identical to [`check_binary_sharded`].
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`].
-pub fn check_binary_sharded_sampled(
-    image: &BinaryTraceImage,
-    model: &HeapModel,
-    settings: &Settings,
-    shards: usize,
-    config: SamplerConfig,
-) -> Result<(Vec<BugReport>, SamplingInfo), HeapMdError> {
-    let functions = image.functions()?;
-    let table_len = functions.len();
-    let total_samples = (image.index().total_fn_enters / settings.frq) as usize;
-    let mut settings = settings.clone();
-    settings.warmup_samples = settings
-        .warmup_samples
-        .max(settings.trim_count(total_samples));
-    let mut detector = crate::detector::AnomalyDetector::new(model.clone(), settings.clone());
-    let mut replayer = Replayer::with_shards(settings, &functions, shards);
-    replayer.enable_sampling(config);
-    pipeline_blocks(image, |events| -> Result<(), HeapMdError> {
-        if table_len > 0 {
-            validate_block_function_ids(events, table_len)?;
-        }
-        let mut monitors: [&mut dyn crate::monitor::Monitor; 1] = [&mut detector];
-        for ev in events {
-            replayer.step(ev, &mut monitors);
-        }
-        Ok(())
-    })?;
-    let mut monitors: [&mut dyn crate::monitor::Monitor; 1] = [&mut detector];
-    replayer.finish(&mut monitors);
-    let info = replayer
-        .sampling_info()
-        .expect("sampling was enabled above");
-    Ok((detector.take_bugs(), info))
-}
-
-pub(crate) fn validate_block_function_ids(
-    events: &[HeapEvent],
-    table_len: usize,
-) -> Result<(), HeapMdError> {
-    for ev in events {
-        let func = match *ev {
-            HeapEvent::FnEnter { func } | HeapEvent::FnExit { func } => func,
-            _ => continue,
-        };
-        if func as usize >= table_len {
-            return Err(HeapMdError::InvalidInput(format!(
-                "event references function id {func}, but the trace interns \
-                 only {table_len} function names"
-            )));
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
 // Multi-trace checking pool
 // ---------------------------------------------------------------------
 
-/// Checks `traces` against `model` on up to `jobs` scoped worker
-/// threads, returning per-trace results **in input order** regardless
-/// of scheduling — the same determinism discipline as
-/// `ModelBuilder::add_runs_parallel`: each worker writes into slots
-/// addressed by input index, and no result is observed out of order.
+/// Loads (auto-detecting format) and checks N trace files against
+/// `model` on up to `jobs` scoped worker threads, returning per-trace
+/// outcomes **in input order** regardless of scheduling — the same
+/// determinism discipline as `ModelBuilder::add_runs_parallel`. The
+/// pool parallelizes across traces only: each trace is one sequential
+/// replay.
+///
+/// A strict binary trace replays straight from its (memory-mapped)
+/// image; everything else decodes to an in-memory [`Trace`] first. With
+/// `salvage`, a damaged stream contributes whatever its format's
+/// salvage recovers, and the outcome carries the salvage stats. With
+/// `sampler`, unsampled recordings are re-sampled through a live filter
+/// and the detector widens by the running measured rate (see
+/// [`Trace::sampled`]); already-sampled recordings keep their recorded
+/// schedule.
 ///
 /// A failing trace yields its error in its slot; it never aborts the
 /// other checks.
-pub fn check_traces_parallel(
-    traces: &[Trace],
-    model: &HeapModel,
-    settings: &Settings,
-    jobs: usize,
-) -> Vec<Result<Vec<BugReport>, HeapMdError>> {
-    run_pool(traces.len(), jobs, |i| traces[i].check(model, settings))
-}
-
-/// Loads (auto-detecting format) and checks N trace files across a
-/// scoped pool, merging results in input order. With `salvage`, a
-/// damaged stream contributes whatever its format's salvage recovers.
-///
-/// When the pool has more job slots than traces, the spare capacity is
-/// not left idle: each binary strict check splits its graph image into
-/// `jobs / n` intra-trace shards (see [`check_binary_sharded`]).
-/// Verdicts are shard-invariant and results still land by input index,
-/// so the idle-pool split never perturbs output order or content.
-pub fn check_paths_parallel(
+pub fn check_paths(
     paths: &[std::path::PathBuf],
     model: &HeapModel,
     settings: &Settings,
     jobs: usize,
     salvage: bool,
-) -> Vec<Result<Vec<BugReport>, HeapMdError>> {
-    check_paths_parallel_sharded(paths, model, settings, jobs, salvage, 0)
-}
-
-/// [`check_paths_parallel`] with an explicit per-trace shard count:
-/// `0` keeps the automatic idle-capacity split, any other value forces
-/// that many intra-trace shards on every binary strict check.
-pub fn check_paths_parallel_sharded(
-    paths: &[std::path::PathBuf],
-    model: &HeapModel,
-    settings: &Settings,
-    jobs: usize,
-    salvage: bool,
-    shards: usize,
-) -> Vec<Result<Vec<BugReport>, HeapMdError>> {
-    let n = paths.len();
-    let per_trace_shards = if shards > 0 {
-        shards
-    } else if n > 0 && jobs > n {
-        jobs / n
-    } else {
-        1
-    };
-    if per_trace_shards > 1 {
-        heapmd_obs::gauge_set!("check_pool_trace_shards", per_trace_shards as i64);
-    }
-    run_pool(n, jobs, |i| {
+    sampler: Option<SamplerConfig>,
+) -> Vec<Result<TraceCheckOutcome, HeapMdError>> {
+    run_pool(paths.len(), jobs, |i| {
         let path = &paths[i];
-        // Binary strict checks go through the pipelined engine (the
-        // decoder overlaps the detector); everything else decodes to an
-        // in-memory trace first.
         if !salvage && sniff_file(path)? == ArtifactKind::BinaryTrace {
             let image = BinaryTraceImage::open_path(path)?;
-            return check_binary_sharded(&image, model, settings, per_trace_shards);
+            return check(EventSource::Image(&image), model, settings, sampler, None);
         }
-        let (trace, _) = load_trace_auto(path, salvage)?;
-        trace.check(model, settings)
+        let (trace, stats) = load_trace_auto(path, salvage)?;
+        let mut outcome = check(EventSource::Memory(&trace), model, settings, sampler, None)?;
+        outcome.salvage = stats;
+        Ok(outcome)
     })
 }
 
@@ -2288,17 +1995,17 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_replay_matches_in_memory_replay() {
+    fn image_replay_matches_in_memory_replay() {
         let trace = sample_trace(EVENTS_PER_BLOCK + 300);
         let settings = settings(5);
         let expected = trace.replay(&settings, "mem").unwrap();
         let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
-        let piped = replay_binary(&image, &settings, "piped").unwrap();
-        assert_eq!(expected.samples, piped.samples);
+        let replayed = image.replay(&settings, "image", None).unwrap();
+        assert_eq!(expected.samples, replayed.samples);
     }
 
     #[test]
-    fn pipelined_check_matches_in_memory_check() {
+    fn image_check_matches_in_memory_check() {
         use crate::model::{HeapModel, StableMetric, MODEL_FORMAT_VERSION};
         use heap_graph::MetricKind;
 
@@ -2339,17 +2046,17 @@ mod tests {
         let expected = trace.check(&model, &settings).unwrap();
         assert!(!expected.is_empty());
         let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
-        let piped = check_binary(&image, &model, &settings).unwrap();
-        assert_eq!(expected, piped);
+        let checked = check(EventSource::Image(&image), &model, &settings, None, None).unwrap();
+        assert_eq!(expected, checked.bugs);
     }
 
     #[test]
-    fn out_of_table_function_ids_are_invalid_input_in_pipeline() {
+    fn out_of_table_function_ids_are_invalid_input_in_image_replay() {
         let mut trace = sample_trace(20);
         trace.push(HeapEvent::FnEnter { func: 999 });
         let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
         assert!(matches!(
-            replay_binary(&image, &settings(5), "bad"),
+            image.replay(&settings(5), "bad", None),
             Err(HeapMdError::InvalidInput(_))
         ));
     }
@@ -2405,15 +2112,33 @@ mod tests {
                 p.take_trace().unwrap()
             })
             .collect();
+        // Alternate the on-disk format too: both sources feed the pool.
+        let dir = std::env::temp_dir().join(format!("heapmd-pool-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths: Vec<std::path::PathBuf> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let (format, ext) = if i % 3 == 0 {
+                    (StreamFormat::Jsonl, "jsonl")
+                } else {
+                    (StreamFormat::Binary, "hmdt")
+                };
+                let path = dir.join(format!("t{i}.{ext}"));
+                t.save_format(&path, format).unwrap();
+                path
+            })
+            .collect();
         let sequential: Vec<_> = traces
             .iter()
             .map(|t| t.check(&model, &settings).unwrap())
             .collect();
         for jobs in [1, 2, 8] {
-            let pooled = check_traces_parallel(&traces, &model, &settings, jobs);
-            let pooled: Vec<_> = pooled.into_iter().map(|r| r.unwrap()).collect();
+            let pooled = check_paths(&paths, &model, &settings, jobs, false, None);
+            let pooled: Vec<_> = pooled.into_iter().map(|r| r.unwrap().bugs).collect();
             assert_eq!(pooled, sequential, "jobs={jobs} must merge in order");
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

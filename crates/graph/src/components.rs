@@ -60,20 +60,20 @@ impl UnionFind {
     }
 }
 
-/// Weakly-connected component summary from a node/edge enumeration
-/// (shared by the single-slab and sharded graphs).
-fn components_from(
-    ids: Vec<ObjectId>,
-    edges: impl Iterator<Item = (ObjectId, u64, ObjectId)>,
-) -> ComponentSummary {
-    {
+impl HeapGraph {
+    /// Computes the weakly-connected component summary of the current
+    /// graph (treating edges as undirected).
+    ///
+    /// O(nodes + edges); intended for metric computation points.
+    pub fn components(&self) -> ComponentSummary {
+        let ids: Vec<ObjectId> = self.node_ids().collect();
         if ids.is_empty() {
             return ComponentSummary::default();
         }
         let index: HashMap<ObjectId, usize> =
             ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         let mut uf = UnionFind::new(ids.len());
-        for (src, _, dst) in edges {
+        for (src, _, dst) in self.edges() {
             uf.union(index[&src], index[&dst]);
         }
         let mut comp_size: HashMap<usize, u64> = HashMap::new();
@@ -89,43 +89,6 @@ fn components_from(
             largest,
             singletons,
             mean_size: ids.len() as f64 / count as f64,
-        }
-    }
-}
-
-impl HeapGraph {
-    /// Computes the weakly-connected component summary of the current
-    /// graph (treating edges as undirected).
-    ///
-    /// O(nodes + edges); intended for metric computation points.
-    pub fn components(&self) -> ComponentSummary {
-        components_from(self.node_ids().collect(), self.edges())
-    }
-}
-
-impl crate::ShardedGraph {
-    /// Weakly-connected component summary (see
-    /// [`HeapGraph::components`]).
-    pub fn components(&self) -> ComponentSummary {
-        components_from(self.node_ids().collect(), self.edges())
-    }
-}
-
-impl crate::GraphImage {
-    /// Weakly-connected component summary (see
-    /// [`HeapGraph::components`]).
-    pub fn components(&self) -> ComponentSummary {
-        match self {
-            crate::GraphImage::Single(g) => g.components(),
-            crate::GraphImage::Sharded(s) => s.components(),
-        }
-    }
-
-    /// Strongly-connected component summary (see [`HeapGraph::sccs`]).
-    pub fn sccs(&self) -> SccSummary {
-        match self {
-            crate::GraphImage::Single(g) => g.sccs(),
-            crate::GraphImage::Sharded(s) => s.sccs(),
         }
     }
 }
@@ -210,13 +173,15 @@ pub struct SccSummary {
     pub nontrivial: u64,
 }
 
-/// Strongly-connected component summary (iterative Tarjan) from a
-/// node/edge enumeration.
-fn sccs_from(
-    ids: Vec<ObjectId>,
-    edges: impl Iterator<Item = (ObjectId, u64, ObjectId)>,
-) -> SccSummary {
-    {
+impl HeapGraph {
+    /// Computes the strongly-connected component summary (iterative
+    /// Tarjan), O(nodes + edges).
+    ///
+    /// Cyclic structures — rings, doubly-linked lists — form
+    /// non-trivial SCCs; trees and singly-linked chains do not, which
+    /// makes `nontrivial` a cheap cycle census of the heap.
+    pub fn sccs(&self) -> SccSummary {
+        let ids: Vec<ObjectId> = self.node_ids().collect();
         if ids.is_empty() {
             return SccSummary::default();
         }
@@ -224,7 +189,7 @@ fn sccs_from(
             ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         let n = ids.len();
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (src, _, dst) in edges {
+        for (src, _, dst) in self.edges() {
             adj[index[&src]].push(index[&dst]);
         }
 
@@ -291,25 +256,6 @@ fn sccs_from(
             largest,
             nontrivial,
         }
-    }
-}
-
-impl HeapGraph {
-    /// Computes the strongly-connected component summary (iterative
-    /// Tarjan), O(nodes + edges).
-    ///
-    /// Cyclic structures — rings, doubly-linked lists — form
-    /// non-trivial SCCs; trees and singly-linked chains do not, which
-    /// makes `nontrivial` a cheap cycle census of the heap.
-    pub fn sccs(&self) -> SccSummary {
-        sccs_from(self.node_ids().collect(), self.edges())
-    }
-}
-
-impl crate::ShardedGraph {
-    /// Strongly-connected component summary (see [`HeapGraph::sccs`]).
-    pub fn sccs(&self) -> SccSummary {
-        sccs_from(self.node_ids().collect(), self.edges())
     }
 }
 

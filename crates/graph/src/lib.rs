@@ -65,7 +65,6 @@ mod node;
 #[cfg(any(test, feature = "reference-graph"))]
 mod reference;
 mod scoped;
-mod shard;
 
 pub use candidates::{CandidateKind, CandidateVector, CANDIDATE_COUNT, TAIL_MIN_DEGREE};
 pub use components::{ComponentSummary, SccSummary};
@@ -78,4 +77,3 @@ pub use node::NodeInfo;
 #[cfg(any(test, feature = "reference-graph"))]
 pub use reference::ReferenceGraph;
 pub use scoped::ScopedGraph;
-pub use shard::{DegreeOp, GraphImage, ShardedGraph, MAX_SHARDS, SHARD_BITS, SLOT_BITS};

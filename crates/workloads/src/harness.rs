@@ -9,29 +9,12 @@ use heapmd::{
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-series point budget for the flight recorder attached by
 /// [`check_with_incidents`]: enough to span long runs after
 /// stride-doubling, small enough to keep bundles a few KB.
 pub const FLIGHT_RECORDER_POINTS: usize = 512;
-
-/// Heap-graph shard count for every [`Process`] the harness builds
-/// (1 = classic single-slab layout). Shard count changes storage
-/// layout only — samples, models, and verdicts are bit-identical at
-/// every value — so this is safe to flip mid-suite.
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the shard count used by subsequent harness runs (the CLI's
-/// `--shards` flag lands here). Values below 1 clamp to 1.
-pub fn set_default_shards(n: usize) {
-    DEFAULT_SHARDS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The shard count harness-built processes currently use.
-pub fn default_shards() -> usize {
-    DEFAULT_SHARDS.load(Ordering::Relaxed)
-}
 
 /// Production-overhead sampling for harness-built processes, packed as
 /// `hot_threshold << 32 | decimation` (both knobs are well under 2^32
@@ -57,10 +40,9 @@ pub fn default_sampler() -> Option<SamplerConfig> {
     (packed != 0).then(|| SamplerConfig::new(packed >> 32, packed & u64::from(u32::MAX)))
 }
 
-/// Builds a workload process honoring [`default_shards`] and
-/// [`default_sampler`].
+/// Builds a workload process honoring [`default_sampler`].
 fn new_process(settings: Settings) -> Process {
-    let mut p = Process::with_shards(settings, default_shards());
+    let mut p = Process::new(settings);
     if let Some(config) = default_sampler() {
         p.enable_sampling(config);
     }

@@ -4,17 +4,18 @@
 //! `Trace` — and the two copies must replay to bit-identical metric
 //! reports (all seven paper metrics compared via `f64::to_bits`) and
 //! produce identical `check` verdicts, whether checked in memory or
-//! through the pipelined binary engine.
+//! replayed block by block from a binary image.
 //!
 //! This is the acceptance gate for the codec: the on-disk encoding is
 //! an implementation detail that must never change a single observable.
 
 use heapmd::{
-    BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, MetricKind, MetricReport, ModelBuilder,
-    Settings, Trace, TraceReader, TraceWriter,
+    BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, HeapModel, MetricKind, MetricReport,
+    ModelBuilder, SamplerConfig, Settings, StreamFormat, Trace, TraceReader, TraceWriter,
 };
 use proptest::prelude::*;
 use sim_heap::{AllocSite, HeapError, HeapEvent, SimHeap};
+use std::path::PathBuf;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -177,8 +178,8 @@ proptest! {
         }
 
         // Check verdicts: train a throwaway model on the replayed
-        // report, then both copies — in-memory and pipelined — must
-        // return the same `BugReport` list.
+        // report, then both copies — in memory and replayed from the
+        // binary image — must return the same `BugReport` list.
         let mut builder = ModelBuilder::new(settings.clone());
         builder.add_run(&a);
         let model = builder.build().model;
@@ -187,11 +188,11 @@ proptest! {
         // which are *identical* but not PartialEq-equal.
         let jsonl_bugs = format!("{:?}", from_jsonl.check(&model, &settings).unwrap());
         let memory_bugs = format!("{:?}", from_binary.check(&model, &settings).unwrap());
-        let image = BinaryTraceImage::open(binary_bytes(&trace)).unwrap();
-        let pipelined_bugs =
-            format!("{:?}", heapmd::check_binary(&image, &model, &settings).unwrap());
+        let path = temp_trace("roundtrip", &trace, StreamFormat::Binary);
+        let image_bugs = check_file(&path, &model, &settings, None);
+        std::fs::remove_file(&path).ok();
         prop_assert_eq!(&jsonl_bugs, &memory_bugs, "verdicts diverged between formats");
-        prop_assert_eq!(&jsonl_bugs, &pipelined_bugs, "pipelined verdicts diverged");
+        prop_assert_eq!(&jsonl_bugs, &image_bugs, "image verdicts diverged");
     }
 
     // The binary encoding earns its keep: it must never be larger than
@@ -208,6 +209,42 @@ proptest! {
             binary <= jsonl,
             "binary encoding ({binary} bytes) larger than JSONL ({jsonl} bytes)"
         );
+    }
+}
+
+/// Writes `trace` to a per-test temp file in `format`.
+fn temp_trace(tag: &str, trace: &Trace, format: StreamFormat) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "heapmd-prop-{tag}-{}.{format:?}",
+        std::process::id()
+    ));
+    trace.save_format(&path, format).unwrap();
+    path
+}
+
+/// Checks one trace file through [`heapmd::check_paths`], rendering
+/// the verdict with Debug (NaN-stable, see above) plus the measured
+/// sampling outcome.
+fn check_file(
+    path: &PathBuf,
+    model: &HeapModel,
+    settings: &Settings,
+    sampler: Option<SamplerConfig>,
+) -> String {
+    let outcome = heapmd::check_paths(
+        std::slice::from_ref(path),
+        model,
+        settings,
+        1,
+        false,
+        sampler,
+    )
+    .pop()
+    .unwrap()
+    .unwrap();
+    match sampler {
+        None => format!("{:?}", outcome.bugs),
+        Some(_) => format!("{:?} {:?}", outcome.bugs, outcome.sampling),
     }
 }
 
@@ -250,13 +287,15 @@ fn assert_reports_match(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // PR 8 acceptance: the sharded replay engine (any shard count) and
-    // the mmap decode path are unobservable — same samples bit-for-bit
-    // as the fused single-thread engine, same check verdicts, and the
-    // same salvage result whether a damaged file is read through the
-    // strict path's fallback or the block-granular scavenger.
+    // The image engine is unobservable: replaying an `.hmdt` image
+    // block by block gives the same samples bit-for-bit as replaying
+    // the in-memory trace, exact and re-sampled, and checking the file
+    // gives the same verdicts as `Trace::check` — a re-sampled check
+    // gives the same verdicts from either format. The mmap and buffered
+    // open paths replay identically, and a damaged file salvages the
+    // same whether read through the path-based or in-memory scavenger.
     #[test]
-    fn sharded_and_mapped_engines_match_the_fused_path(
+    fn image_engine_matches_the_in_memory_engine(
         ops in proptest::collection::vec(op_strategy(), 1..250),
         frq in 1u64..8,
         cut_pct in 10u64..101,
@@ -266,28 +305,31 @@ proptest! {
         let settings = Settings::builder().frq(frq).build().unwrap();
         let image = BinaryTraceImage::open(bytes.clone()).unwrap();
 
-        // Shard sweep: 2, 3 (does not divide the address space evenly),
-        // and 8 worker shards must reproduce the fused engine's report.
-        let fused = heapmd::replay_binary_fused(&image, &settings, "differential").unwrap();
-        for shards in [2usize, 3, 8] {
-            let sharded =
-                heapmd::replay_binary_sharded(&image, &settings, "differential", shards).unwrap();
-            assert_reports_match(&sharded, &fused, &format!("{shards}-shard replay"))?;
-        }
+        let in_memory = trace.replay(&settings, "differential").unwrap();
+        let replayed = image.replay(&settings, "differential", None).unwrap();
+        assert_reports_match(&replayed, &in_memory, "image replay")?;
+        let config = SamplerConfig::new(2, 3);
+        let resampled = image.replay(&settings, "differential", Some(config)).unwrap();
+        let sampled = trace.sampled(config);
+        assert_reports_match(&resampled, &sampled.replay(&settings, "d").unwrap(), "sampled")?;
+        prop_assert_eq!(resampled.sample_rate.to_bits(), sampled.sample_rate().to_bits());
 
-        // Check verdicts through the sharded checker. Debug rendering
+        // Check verdicts through the image engine. Debug rendering
         // keeps the comparison NaN-stable (see above).
         let mut builder = ModelBuilder::new(settings.clone());
-        builder.add_run(&fused);
+        builder.add_run(&in_memory);
         let model = builder.build().model;
-        let baseline = format!("{:?}", heapmd::check_binary(&image, &model, &settings).unwrap());
-        for shards in [2usize, 3, 8] {
-            let sharded = format!(
-                "{:?}",
-                heapmd::check_binary_sharded(&image, &model, &settings, shards).unwrap()
-            );
-            prop_assert_eq!(&baseline, &sharded, "{}-shard verdicts diverged", shards);
-        }
+        let baseline = format!("{:?}", trace.check(&model, &settings).unwrap());
+        let bin = temp_trace("engine", &trace, StreamFormat::Binary);
+        let jsonl = temp_trace("engine", &trace, StreamFormat::Jsonl);
+        prop_assert_eq!(&baseline, &check_file(&bin, &model, &settings, None), "image verdicts diverged");
+        prop_assert_eq!(
+            check_file(&bin, &model, &settings, Some(config)),
+            check_file(&jsonl, &model, &settings, Some(config)),
+            "sampled verdicts depend on the trace format"
+        );
+        std::fs::remove_file(&bin).ok();
+        std::fs::remove_file(&jsonl).ok();
 
         // mmap vs buffered: the same file opened through the zero-copy
         // mapping and through a plain read must replay identically.
@@ -296,10 +338,10 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
         let mapped = BinaryTraceImage::open_path(&path).unwrap();
         let buffered = BinaryTraceImage::open_path_buffered(&path).unwrap();
-        let via_map = heapmd::replay_binary_fused(&mapped, &settings, "differential").unwrap();
-        let via_buf = heapmd::replay_binary_fused(&buffered, &settings, "differential").unwrap();
-        assert_reports_match(&via_map, &fused, "mmap replay")?;
-        assert_reports_match(&via_buf, &fused, "buffered replay")?;
+        let via_map = mapped.replay(&settings, "differential", None).unwrap();
+        let via_buf = buffered.replay(&settings, "differential", None).unwrap();
+        assert_reports_match(&via_map, &in_memory, "mmap replay")?;
+        assert_reports_match(&via_buf, &in_memory, "buffered replay")?;
 
         // Truncated-file salvage: cutting the file anywhere must leave
         // the path-based scavenger and the in-memory scavenger in exact

@@ -773,7 +773,9 @@ fn sampled_tenant_reports_widened_bands_next_to_exact_tenant() {
     let tenant_line = |name: &str| {
         firehose
             .lines()
-            .find(|l| l.contains("\"type\":\"tenant\"") && l.contains(&format!("\"name\":\"{name}\"")))
+            .find(|l| {
+                l.contains("\"type\":\"tenant\"") && l.contains(&format!("\"name\":\"{name}\""))
+            })
             .unwrap_or_else(|| panic!("no firehose line for {name}:\n{firehose}"))
             .to_string()
     };
@@ -785,7 +787,7 @@ fn sampled_tenant_reports_widened_bands_next_to_exact_tenant() {
     );
     let json_f64 = |line: &str, key: &str| -> f64 {
         let rest = &line[line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3..];
-        rest.split(|c: char| c == ',' || c == '}')
+        rest.split([',', '}'])
             .next()
             .and_then(|v| v.parse().ok())
             .expect("numeric field")
