@@ -79,7 +79,8 @@ pub enum LogPhase {
 /// One call-stack snapshot from the circular log buffer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StackLogEntry {
-    /// Heap tick when the snapshot was taken.
+    /// Logical clock when the snapshot was taken: the same clock as
+    /// [`crate::MetricSample::tick`] (see [`crate::MonitorCtx::tick`]).
     pub tick: u64,
     /// Call stack, outermost first, as function names.
     pub stack: Vec<String>,

@@ -742,7 +742,7 @@ impl Monitor for AnomalyDetector {
             if st.in_violation && st.after_budget > 0 {
                 if let Some(bug) = &mut st.pending {
                     bug.context.push(StackLogEntry {
-                        tick: ctx.heap.tick(),
+                        tick: ctx.tick,
                         stack: ctx.stack_names(),
                         event: Self::describe(event),
                         phase: LogPhase::After,
@@ -754,7 +754,7 @@ impl Monitor for AnomalyDetector {
         // Approach logging into the circular buffer.
         if self.armed {
             self.log.push(StackLogEntry {
-                tick: ctx.heap.tick(),
+                tick: ctx.tick,
                 stack: ctx.stack_names(),
                 event: Self::describe(event),
                 phase: LogPhase::Before,

@@ -114,8 +114,8 @@ pub use stability::{classify, StabilityClass};
 pub use trace::{Trace, TraceCheckOutcome};
 pub use trace_codec::{
     check_paths, encode_sampling_meta, load_trace_auto, sniff_bytes, sniff_file, ArtifactKind,
-    BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, BlockEntry, BlockIndex, StreamFormat,
-    WireFrame, WireReader, BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
+    BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, BlockEntry, BlockIndex, RawFrame,
+    StreamFormat, WireFrame, WireReader, BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
 };
 pub use trace_stream::{frame_record, SalvageStats, TraceReader, TraceWriter, STREAM_MAGIC};
 pub use values::{LocationSummary, ValueProfile};

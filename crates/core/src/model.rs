@@ -550,6 +550,8 @@ impl ModelBuilder {
             }
             return self;
         }
+        static TRAIN_SUMMARIZE: heapmd_obs::throughput::Stage =
+            heapmd_obs::throughput::Stage::new("model_train_summarize");
         let clock = heapmd_obs::throughput::stage_clock();
         let settings = &self.settings;
         let include_local = self.include_local;
@@ -609,11 +611,7 @@ impl ModelBuilder {
         }
         if let Some(t0) = clock {
             let wall = (t0.elapsed().as_nanos() as u64).max(1);
-            heapmd_obs::throughput::record_stage(
-                "model_train_summarize",
-                reports.len() as u64,
-                wall,
-            );
+            TRAIN_SUMMARIZE.record(reports.len() as u64, wall);
             heapmd_obs::gauge_set!("model_train_threads", workers as i64);
             let busy_total: u64 = busy.iter().sum();
             heapmd_obs::gauge_set!(

@@ -4,15 +4,17 @@ use crate::callstack::{FuncId, FunctionTable};
 use crate::report::MetricSample;
 use heap_graph::HeapGraph;
 use heapmd_obs::SeriesRecorder;
-use sim_heap::{HeapEvent, SimHeap};
+use sim_heap::HeapEvent;
 
 /// Read-only view of the execution state handed to monitors.
 #[derive(Debug)]
 pub struct MonitorCtx<'a> {
     /// The heap-graph image maintained by the execution logger.
     pub graph: &'a HeapGraph,
-    /// The simulated heap (object table, staleness ticks).
-    pub heap: &'a SimHeap,
+    /// The logical clock the metric samples carry
+    /// ([`MetricSample::tick`]): the heap's mutator-operation count in
+    /// a live process, the replayed event count offline.
+    pub tick: u64,
     /// The current call stack, outermost first.
     pub stack: &'a [FuncId],
     /// Function-name intern table for rendering the stack.

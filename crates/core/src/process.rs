@@ -550,6 +550,8 @@ impl Process {
             }
             return;
         }
+        static PROCESS_INGEST: heapmd_obs::throughput::Stage =
+            heapmd_obs::throughput::Stage::new("process_ingest");
         let clock = heapmd_obs::throughput::stage_clock();
         let mut batch_start = 0;
         for (i, ev) in events.iter().enumerate() {
@@ -577,11 +579,7 @@ impl Process {
         }
         self.graph.apply_batch(&events[batch_start..]);
         if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(
-                "process_ingest",
-                events.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
+            PROCESS_INGEST.record(events.len() as u64, t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -625,7 +623,7 @@ impl Process {
         let _span = heapmd_obs::span!("process_finish");
         let ctx = MonitorCtx {
             graph: &self.graph,
-            heap: &self.heap,
+            tick: self.heap.tick(),
             stack: &self.stack,
             funcs: &self.funcs,
             fn_entries: self.fn_entries,
@@ -674,7 +672,7 @@ impl Process {
         if !self.monitors.is_empty() {
             let ctx = MonitorCtx {
                 graph: &self.graph,
-                heap: &self.heap,
+                tick: self.heap.tick(),
                 stack: &self.stack,
                 funcs: &self.funcs,
                 fn_entries: self.fn_entries,
@@ -737,7 +735,7 @@ impl Process {
         if !self.monitors.is_empty() {
             let ctx = MonitorCtx {
                 graph: &self.graph,
-                heap: &self.heap,
+                tick: self.heap.tick(),
                 stack: &self.stack,
                 funcs: &self.funcs,
                 fn_entries: self.fn_entries,

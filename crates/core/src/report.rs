@@ -11,7 +11,9 @@ pub struct MetricSample {
     pub seq: usize,
     /// Cumulative function entries when the sample was taken.
     pub fn_entries: u64,
-    /// Heap logical clock when the sample was taken.
+    /// Logical clock when the sample was taken: the heap's
+    /// mutator-operation count in a live process, the replayed event
+    /// count offline.
     pub tick: u64,
     /// The seven paper metrics.
     pub metrics: MetricVector,

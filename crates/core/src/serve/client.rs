@@ -26,8 +26,8 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
 
-/// How long to wait for ack bytes in one pump step before rechecking
-/// for work.
+/// How long a blocked pump step waits for the first ack bytes before
+/// rechecking for work (it returns as soon as acks arrive).
 const ACK_POLL: Duration = Duration::from_millis(5);
 
 /// A bidirectional, timeout-capable transport the session client can
@@ -37,11 +37,22 @@ const ACK_POLL: Duration = Duration::from_millis(5);
 pub trait Conn: Read + Write + Send {
     /// Bounds subsequent reads; `None` blocks indefinitely.
     fn set_read_timeout(&mut self, dur: Option<Duration>) -> io::Result<()>;
+
+    /// Reads only bytes that already arrived, failing with
+    /// [`io::ErrorKind::WouldBlock`] when there are none.
+    fn read_ready(&mut self, buf: &mut [u8]) -> io::Result<usize>;
 }
 
 impl Conn for AnyStream {
     fn set_read_timeout(&mut self, dur: Option<Duration>) -> io::Result<()> {
         self.set_read_timeout_opt(dur)
+    }
+
+    fn read_ready(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.set_nonblocking(true)?;
+        let read = self.read(buf);
+        self.set_nonblocking(false)?;
+        read
     }
 }
 
@@ -376,15 +387,23 @@ impl SessionClient {
         Ok(sent)
     }
 
-    /// Reads whatever acks are available within `wait`; returns whether
-    /// the acked watermark advanced.
-    fn poll_acks(&mut self, wait: Duration) -> io::Result<bool> {
-        let conn = self.conn.as_mut().expect("poll_acks with live conn");
-        conn.set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
+    /// Takes the acks the daemon has sent: with `wait`, blocks up to that
+    /// long for the first bytes; then reads whatever else already
+    /// arrived, without waiting. Returns whether the acked watermark
+    /// advanced (or the final ack came).
+    fn poll_acks(&mut self, wait: Option<Duration>) -> io::Result<bool> {
         let before = self.acked;
         let mut chunk = [0u8; 64];
+        let conn = self.conn.as_mut().expect("poll_acks with live conn");
+        let mut read = match wait {
+            Some(wait) => {
+                conn.set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
+                conn.read(&mut chunk)
+            }
+            None => conn.read_ready(&mut chunk),
+        };
         loop {
-            match self.conn.as_mut().unwrap().read(&mut chunk) {
+            match read {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -420,6 +439,11 @@ impl SessionClient {
                 }
                 Err(e) => return Err(e),
             }
+            read = self
+                .conn
+                .as_mut()
+                .expect("poll_acks with live conn")
+                .read_ready(&mut chunk);
         }
         Ok(self.acked > before || self.final_acked)
     }
@@ -465,7 +489,7 @@ impl SessionClient {
             }
             let step = (|| -> io::Result<bool> {
                 let sent = self.send_pending()?;
-                let acked = self.poll_acks(ACK_POLL)?;
+                let acked = self.poll_acks(Some(ACK_POLL))?;
                 Ok(sent || acked)
             })();
             match step {
@@ -506,12 +530,12 @@ impl Write for SessionClient {
         for frame in self.splitter.push(buf) {
             self.enqueue(frame);
         }
-        // Opportunistic pump: push frames and retire acks without
-        // blocking the producer...
+        // Opportunistic pump: push frames and retire the acks already
+        // there, never waiting on the daemon...
         if self.conn.is_some() {
             let step = (|| -> io::Result<()> {
                 self.send_pending()?;
-                self.poll_acks(Duration::from_millis(1))?;
+                self.poll_acks(None)?;
                 Ok(())
             })();
             if step.is_err() {
@@ -633,16 +657,16 @@ pub fn push_trace_resumable(
 
 #[cfg(test)]
 mod tests {
+    use super::super::session::encode_ack;
     use super::*;
     use crate::trace_codec::EVENTS_PER_BLOCK;
     use sim_heap::HeapEvent;
+    use std::sync::atomic::Ordering::Relaxed;
 
-    #[test]
-    fn splitter_reassembles_writer_frames() {
-        // Encode a two-block trace (events + functions + index) and
-        // feed it through the splitter in awkward chunk sizes.
+    /// An encoded trace of `n` allocations plus a function table.
+    fn alloc_trace(n: usize) -> Vec<u8> {
         let mut w = BinaryTraceWriter::new(Vec::new()).unwrap();
-        for i in 0..(EVENTS_PER_BLOCK + 3) {
+        for i in 0..n {
             w.write_event(&HeapEvent::Alloc {
                 obj: sim_heap::ObjectId(i as u64),
                 addr: sim_heap::Addr::new(0x1000 + i as u64 * 16),
@@ -652,7 +676,14 @@ mod tests {
             .unwrap();
         }
         w.write_functions(&["main".to_string()]).unwrap();
-        let bytes = w.finish().unwrap();
+        w.finish().unwrap()
+    }
+
+    #[test]
+    fn splitter_reassembles_writer_frames() {
+        // Encode a two-block trace (events + functions + index) and
+        // feed it through the splitter in awkward chunk sizes.
+        let bytes = alloc_trace(EVENTS_PER_BLOCK + 3);
 
         for chunk in [1usize, 7, 64, 4096] {
             let mut sp = BlockSplitter::new();
@@ -693,6 +724,120 @@ mod tests {
         };
         assert_eq!(a, b, "same seed, same stream");
         assert_ne!(a, c, "different session, different stream");
+    }
+
+    /// Reads a scripted daemon end saw, by kind.
+    #[derive(Default)]
+    struct ReadCounts {
+        blocking: std::sync::atomic::AtomicUsize,
+        ready: std::sync::atomic::AtomicUsize,
+    }
+
+    /// A daemon stand-in that counts the client's reads: it answers the
+    /// hello, then acks every frame sent so far whenever the client
+    /// blocks on a read. A nonblocking read finds no acks waiting.
+    struct CountingConn {
+        counts: std::sync::Arc<ReadCounts>,
+        inbox: VecDeque<u8>,
+        greeted: bool,
+        /// Sequence number of the last frame sent, and whether it was
+        /// the index.
+        last: Option<(u64, bool)>,
+    }
+
+    impl Read for CountingConn {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.counts.blocking.fetch_add(1, Relaxed);
+            if self.inbox.is_empty() {
+                let (seq, end) = self
+                    .last
+                    .ok_or_else(|| io::Error::from(io::ErrorKind::TimedOut))?;
+                let flags = if end { ACK_FINAL } else { 0 };
+                self.inbox.extend(encode_ack(seq + 1, flags));
+            }
+            let n = buf.len().min(self.inbox.len());
+            for (dst, src) in buf.iter_mut().zip(self.inbox.drain(..n)) {
+                *dst = src;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for CountingConn {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.greeted {
+                // One frame per write: its sequence number, then the block.
+                let seq = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                self.last = Some((seq, buf[8 + 4] == KIND_INDEX));
+            } else {
+                self.greeted = true;
+                self.inbox.extend(encode_ack(0, 0));
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Conn for CountingConn {
+        fn set_read_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn read_ready(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            self.counts.ready.fetch_add(1, Relaxed);
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    fn counting_client(spill_limit: usize) -> (SessionClient, std::sync::Arc<ReadCounts>) {
+        let counts = std::sync::Arc::new(ReadCounts::default());
+        let shared = std::sync::Arc::clone(&counts);
+        let opts = SessionOptions {
+            spill_limit,
+            dialer: Some(Box::new(move |_: &str| {
+                Ok(Box::new(CountingConn {
+                    counts: std::sync::Arc::clone(&shared),
+                    inbox: VecDeque::new(),
+                    greeted: false,
+                    last: None,
+                }) as Box<dyn Conn>)
+            })),
+            ..SessionOptions::default()
+        };
+        let client = connect_session("scripted", "t", opts).unwrap();
+        (client, counts)
+    }
+
+    #[test]
+    fn write_never_blocks_on_a_read_under_the_spill_limit() {
+        let bytes = alloc_trace(2 * EVENTS_PER_BLOCK + 3);
+        let (mut client, counts) = counting_client(SessionOptions::default().spill_limit);
+        let hello = counts.blocking.load(Relaxed);
+        assert_eq!(hello, 1, "the handshake waits for the hello ack");
+        // BufWriter-sized writes, as `push_trace_resumable` makes them.
+        for chunk in bytes.chunks(8 << 10) {
+            client.write_all(chunk).unwrap();
+        }
+        assert_eq!(
+            counts.blocking.load(Relaxed),
+            hello,
+            "no write waited on the daemon"
+        );
+        assert!(
+            counts.ready.load(Relaxed) > 0,
+            "writes took acks in passing"
+        );
+        client.flush().unwrap();
+        assert!(client.final_acked, "flush waits for the final ack");
+        assert!(counts.blocking.load(Relaxed) > hello);
+
+        // Over the limit, a write must wait for acks.
+        let (mut client, counts) = counting_client(1);
+        client.write_all(&bytes).unwrap();
+        assert!(counts.blocking.load(Relaxed) > 1);
     }
 
     #[test]

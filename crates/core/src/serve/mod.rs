@@ -29,30 +29,41 @@
 //!   its connection reconnects and resumes from the first unacked
 //!   block. See [`session`] for the protocol and crash-only recovery.
 //! - **Sharding & backpressure.** Tenants hash-assign to one of N
-//!   worker shards over bounded per-tenant queues (a pending-event
-//!   counter shared between the connection handler and the shard). A
-//!   full queue backpressures the client for as long as the shard keeps
-//!   draining it; only a queue that makes no progress for a whole grace
-//!   window gets its tenant evicted as stalled.
-//! - **Verdicts.** Shards feed a resumable [`Replayer`] per tenant for
-//!   live per-metric gauges, and buffer the event stream; on clean end
-//!   of stream the buffered trace runs through the exact
-//!   [`Trace::check_logged`] path, so the daemon verdict is
-//!   bit-identical to `heapmd check` on the same trace, with incident
-//!   bundles captured into a per-tenant [`IncidentLog`] directory. Each
-//!   tenant checks against the shared model, or its own override from
-//!   [`ServeConfig::model_dir`].
+//!   worker shards over bounded per-tenant queues (a `Pending` event
+//!   count shared between the connection handler and the shard). A full
+//!   queue backpressures the client for as long as the shard keeps
+//!   draining it — the handler sleeps until the shard signals progress;
+//!   only a queue that makes no progress for a whole grace window gets
+//!   its tenant evicted as stalled.
+//! - **Verdicts.** Handlers verify each frame's framing and checksum and
+//!   forward it still encoded — the same bytes they journal. The shard
+//!   decodes each block into a resumable [`Replayer`] that feeds the
+//!   live per-metric gauges, and appends the frame to the tenant's
+//!   `.hmdt` byte image (~5.7 bytes per event, identical to the
+//!   journal). At clean end of stream the image opens as a
+//!   [`BinaryTraceImage`] and runs through the engine `heapmd check`
+//!   uses on `.hmdt` files, so the daemon verdict is bit-identical to
+//!   `heapmd check` on the same trace, with incident bundles captured
+//!   into a per-tenant [`IncidentLog`] directory. A stream that never
+//!   reached its index (shutdown, eviction) salvages the same image
+//!   into a partial verdict. Each tenant checks against the shared
+//!   model, or its own override from [`ServeConfig::model_dir`].
 //! - **Shutdown.** The toolchain forbids `unsafe`, so there is no
 //!   signal handler; graceful shutdown arrives via the HTTP control
-//!   endpoint (`GET /shutdown`) or [`Server::shutdown`]. In-flight
-//!   streams drain whatever the kernel already buffered, the prefixes
-//!   are finalized as partial verdicts, every incident bundle flushed,
-//!   and the final Prometheus dump written. Session journals survive
+//!   endpoint (`GET /shutdown`) or [`Server::shutdown`]. Nothing polls
+//!   for it: the accept loops block in `accept`, and [`Server::wait`]
+//!   dials each listener until its loop returns (leaving one that
+//!   cannot be dialed behind after a short grace). In-flight streams
+//!   drain whatever the kernel already buffered, the prefixes are
+//!   finalized as partial verdicts, every incident bundle flushed, and
+//!   the final Prometheus dump written. Session journals survive
 //!   shutdown untouched, so a restarted daemon replays them and lets
 //!   clients resume mid-stream.
 
 pub mod client;
 pub mod session;
+#[cfg(test)]
+mod tests;
 
 use crate::bug::BugReport;
 use crate::error::HeapMdError;
@@ -61,21 +72,25 @@ use crate::model::HeapModel;
 use crate::report::MetricSample;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use crate::trace::{check, EventSource, Replayer, Trace};
-use crate::trace_codec::{BinaryTraceWriter, BlockIndex, WireFrame, WireReader};
+use crate::trace_codec::{
+    file_header, salvage_bytes, BinaryTraceImage, BinaryTraceWriter, RawFrame, WireFrame,
+    WireReader, EVENTS_PER_BLOCK,
+};
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
 };
+use heapmd_obs::throughput::{stage_clock, Stage};
 use heapmd_runstore::{RowKind, RunStore};
 use sim_heap::HeapEvent;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use swat::{SamplerConfig, SamplingInfo};
@@ -88,23 +103,28 @@ pub use session::SERVE_PREAMBLE_V2;
 /// First token of the v1 connection preamble line.
 pub const SERVE_PREAMBLE: &str = "HMDSERVE1";
 
-/// Idle poll period of the nonblocking accept loops.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// How long a full per-tenant queue may go without draining a single
 /// event before the tenant is evicted as stalled. Progress resets the
 /// clock, so a merely slow shard backpressures instead of evicting.
 const BACKPRESSURE_GRACE: Duration = Duration::from_secs(5);
-/// Poll period while waiting for queue room.
-const BACKPRESSURE_POLL: Duration = Duration::from_millis(5);
 /// Read timeout on ingest sockets: the latency with which a blocked
 /// connection handler notices the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(25);
+/// Pause after a failed `accept` (descriptor exhaustion, say) before
+/// the next attempt, so a persistent error does not spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+/// How long a shutdown wake-up dial may go unanswered before the accept
+/// loop is dialed again.
+const WAKE_RETRY: Duration = Duration::from_millis(10);
+/// How long shutdown keeps dialing an accept loop that does not wake
+/// before leaving it blocked and finalizing without it.
+const WAKE_GRACE: Duration = Duration::from_secs(2);
 /// Window over which per-tenant ingest rates are computed.
 const RATE_WINDOW: Duration = Duration::from_millis(250);
 /// Longest accepted preamble line (token + 64-char tenant + 32-char
 /// session id + a 20-digit ack, space-separated).
 const MAX_PREAMBLE: usize = 160;
-/// How often the accept loop sweeps for expired disconnected sessions.
+/// How often the sweeper evicts expired disconnected sessions.
 const SWEEP_PERIOD: Duration = Duration::from_millis(500);
 
 /// Whether `name` is a valid tenant name: 1–64 bytes of
@@ -128,18 +148,35 @@ enum AnyListener {
     Unix(UnixListener),
 }
 
+/// The address a local client dials to reach a listener bound to
+/// `addr`: a wildcard bind is reached over loopback.
+fn dial_addr(addr: SocketAddr) -> String {
+    let mut dial = addr;
+    if dial.ip().is_unspecified() {
+        dial.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    dial.to_string()
+}
+
 impl AnyListener {
     /// Binds `spec`: `unix:<path>` for a Unix socket (replacing a stale
     /// socket file), anything else as a TCP `host:port`. Returns the
-    /// listener (nonblocking) and its resolved address string.
-    fn bind(spec: &str) -> io::Result<(AnyListener, String)> {
+    /// (blocking) listener, its resolved address string, and the
+    /// address a local client dials to reach it.
+    fn bind(spec: &str) -> io::Result<(AnyListener, String, String)> {
         if let Some(path) = spec.strip_prefix("unix:") {
             #[cfg(unix)]
             {
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
-                return Ok((AnyListener::Unix(listener), spec.to_string()));
+                return Ok((
+                    AnyListener::Unix(listener),
+                    spec.to_string(),
+                    spec.to_string(),
+                ));
             }
             #[cfg(not(unix))]
             return Err(io::Error::new(
@@ -148,9 +185,12 @@ impl AnyListener {
             ));
         }
         let listener = TcpListener::bind(spec)?;
-        let addr = listener.local_addr()?.to_string();
-        listener.set_nonblocking(true)?;
-        Ok((AnyListener::Tcp(listener), addr))
+        let addr = listener.local_addr()?;
+        Ok((
+            AnyListener::Tcp(listener),
+            addr.to_string(),
+            dial_addr(addr),
+        ))
     }
 
     fn accept(&self) -> io::Result<AnyStream> {
@@ -169,11 +209,11 @@ pub(crate) enum AnyStream {
 }
 
 impl AnyStream {
-    fn set_blocking(&self) -> io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
-            AnyStream::Tcp(s) => s.set_nonblocking(false),
+            AnyStream::Tcp(s) => s.set_nonblocking(nonblocking),
             #[cfg(unix)]
-            AnyStream::Unix(s) => s.set_nonblocking(false),
+            AnyStream::Unix(s) => s.set_nonblocking(nonblocking),
         }
     }
 
@@ -209,7 +249,7 @@ impl AnyStream {
 /// with it, typically, the function table at the end of the stream).
 pub(crate) struct DrainingStream {
     inner: AnyStream,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
 }
 
 impl Read for DrainingStream {
@@ -222,7 +262,7 @@ impl Read for DrainingStream {
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if self.shutdown.load(Relaxed) {
+                    if self.shutdown.is_set() {
                         return Ok(0);
                     }
                 }
@@ -266,6 +306,124 @@ impl Write for AnyStream {
             AnyStream::Tcp(s) => s.flush(),
             #[cfg(unix)]
             AnyStream::Unix(s) => s.flush(),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shutdown and backpressure signalling
+// ---------------------------------------------------------------------
+
+const SHUTDOWN_LOCK: &str = "no thread panics while holding the shutdown lock";
+const PENDING_LOCK: &str = "no thread panics while holding a queue count";
+
+/// The daemon-wide shutdown flag, plus the condition variable that
+/// threads sleeping on it (the session sweeper, a backed-off accept
+/// loop, [`Server::wait`]) are woken through. The accept loops block in
+/// `accept` instead; [`Server::wait`] dials them awake.
+pub(crate) struct Shutdown {
+    flag: AtomicBool,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Shutdown {
+    fn new() -> Self {
+        Shutdown {
+            flag: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        }
+    }
+
+    // SeqCst: an accept loop woken by a wake-up dial must see the flag
+    // that was set before it.
+    pub(crate) fn is_set(&self) -> bool {
+        self.flag.load(SeqCst)
+    }
+
+    /// Sets the flag and wakes every sleeping thread (idempotent).
+    fn trigger(&self) {
+        if self.flag.swap(true, SeqCst) {
+            return;
+        }
+        drop(self.lock.lock().expect(SHUTDOWN_LOCK));
+        self.cv.notify_all();
+    }
+
+    /// Blocks until shutdown is triggered.
+    fn wait(&self) {
+        let mut guard = self.lock.lock().expect(SHUTDOWN_LOCK);
+        while !self.is_set() {
+            guard = self.cv.wait(guard).expect(SHUTDOWN_LOCK);
+        }
+    }
+
+    /// Sleeps for `dur` or until shutdown; returns whether shutdown was
+    /// triggered.
+    fn sleep(&self, dur: Duration) -> bool {
+        let guard = self.lock.lock().expect(SHUTDOWN_LOCK);
+        if !self.is_set() {
+            let _ = self.cv.wait_timeout(guard, dur).expect(SHUTDOWN_LOCK);
+        }
+        self.is_set()
+    }
+}
+
+/// Events a connection handler has queued for its shard that the shard
+/// has not ingested yet. The handler waits on it for queue room and the
+/// shard wakes it as it drains.
+#[derive(Default)]
+pub(crate) struct Pending {
+    events: Mutex<u64>,
+    drained: Condvar,
+}
+
+impl Pending {
+    /// Queues `n` events; returns the new depth.
+    fn add(&self, n: u64) -> u64 {
+        let mut events = self.events.lock().expect(PENDING_LOCK);
+        *events += n;
+        *events
+    }
+
+    /// Marks `n` events ingested (saturating: journal recovery feeds a
+    /// shard without queueing) and wakes a waiting handler; returns the
+    /// new depth.
+    fn drain(&self, n: u64) -> u64 {
+        let mut events = self.events.lock().expect(PENDING_LOCK);
+        *events = events.saturating_sub(n);
+        self.drained.notify_all();
+        *events
+    }
+
+    /// Waits for the queue to drop under `bound`; `false` means it made
+    /// no progress at all for a whole grace window and the tenant should
+    /// be evicted as stalled. Only this connection's handler queues
+    /// events, so any decrease seen here is shard progress, which resets
+    /// the grace clock — a busy-but-alive shard backpressures the client
+    /// indefinitely rather than evicting it. Shutdown lets the handler
+    /// through, so the shutdown path finalizes the tenant instead.
+    fn wait_for_room(&self, bound: u64, shutdown: &Shutdown) -> bool {
+        let mut events = self.events.lock().expect(PENDING_LOCK);
+        let mut last = *events;
+        let mut deadline = Instant::now() + BACKPRESSURE_GRACE;
+        loop {
+            if *events < bound || shutdown.is_set() {
+                return true;
+            }
+            let now = Instant::now();
+            if *events < last {
+                last = *events;
+                deadline = now + BACKPRESSURE_GRACE;
+            } else if now >= deadline {
+                return false;
+            }
+            events = self
+                .drained
+                .wait_timeout(events, deadline - now)
+                .expect(PENDING_LOCK)
+                .0;
         }
     }
 }
@@ -373,7 +531,7 @@ pub(crate) enum ShardMsg {
     Start {
         tenant: String,
         stats: Arc<TenantStats>,
-        pending: Arc<AtomicU64>,
+        pending: Arc<Pending>,
         /// The model this tenant checks against (shared or per-tenant
         /// override, resolved by the connection handler).
         model: Arc<HeapModel>,
@@ -381,24 +539,19 @@ pub(crate) enum ShardMsg {
         /// fresh stream replaces it.
         resume: bool,
     },
-    Events {
+    /// One verified, still-encoded frame of the stream (any kind but
+    /// the index).
+    Frame { tenant: String, frame: RawFrame },
+    /// A barrier: once the shard has taken every frame queued before
+    /// it, it replies whether the tenant's frames all decoded.
+    Sync {
         tenant: String,
-        events: Vec<HeapEvent>,
+        accepted: Sender<bool>,
     },
-    Functions {
-        tenant: String,
-        names: Vec<String>,
-    },
-    /// Sampling metadata from a production-overhead client: the stream
-    /// was store-decimated at the sender, and the verdict must widen
-    /// ranges by the recorded rate.
-    Sampling {
-        tenant: String,
-        info: SamplingInfo,
-    },
+    /// The index frame: the stream is complete.
     End {
         tenant: String,
-        index: BlockIndex,
+        frame: RawFrame,
         /// Journal files to delete once the verdict is closed.
         cleanup: Vec<PathBuf>,
     },
@@ -417,19 +570,105 @@ pub(crate) enum ShardMsg {
 
 struct ShardTenant {
     stats: Arc<TenantStats>,
-    pending: Arc<AtomicU64>,
+    pending: Arc<Pending>,
     model: Arc<HeapModel>,
-    events: Vec<HeapEvent>,
-    functions: Vec<String>,
+    /// The stream as a `.hmdt` file: the header, then every ingested
+    /// frame verbatim — the same bytes as the tenant's journal.
+    image: Vec<u8>,
+    /// Events decoded into the live replayer.
+    events: u64,
+    /// Set once a frame failed to decode: that frame and every later
+    /// one are dropped, and the verdict (evicted) covers the image so
+    /// far.
+    rejected: Option<String>,
     replayer: Replayer,
-    /// Sampling metadata announced by the stream (last one wins),
-    /// stamped onto the finalize-time trace so the daemon verdict
-    /// matches an offline check of the same sampled artifact.
+    /// Sampling metadata announced by the stream (last one wins): the
+    /// live gauges widen by its rate.
     sampling: Option<SamplingInfo>,
     /// Per stable metric: was the last live sample out of range.
     last_out: Vec<bool>,
     window_start: Instant,
     window_events: u64,
+}
+
+/// Decode + live replay of tenant blocks on the shards.
+static SERVE_INGEST: Stage = Stage::new("serve_ingest");
+
+impl ShardTenant {
+    /// Takes one frame: decodes it into the live replayer and appends
+    /// it to the image, or rejects the stream when it does not decode.
+    /// Either way its events leave the queue.
+    fn take_frame(&mut self, frame: &RawFrame, events: &mut Vec<HeapEvent>, fleet: &FleetRegistry) {
+        if self.rejected.is_none() {
+            if let Err(e) = self.ingest(frame, events) {
+                fleet.evict(&self.stats);
+                self.rejected = Some(e.to_string());
+            }
+        }
+        let depth = self.pending.drain(u64::from(frame.event_count()));
+        self.stats.set_queue_depth(depth);
+    }
+
+    fn ingest(&mut self, frame: &RawFrame, events: &mut Vec<HeapEvent>) -> Result<(), HeapMdError> {
+        if frame.decode_events_into(events)? {
+            let n = events.len() as u64;
+            let clock = stage_clock();
+            self.replayer.ingest_batch(events);
+            if let Some(t0) = clock {
+                SERVE_INGEST.record(n, t0.elapsed().as_nanos() as u64);
+            }
+            self.events += n;
+            self.stats.record_events(n);
+            let samples = self.replayer.take_samples();
+            if !samples.is_empty() {
+                let model = Arc::clone(&self.model);
+                update_live(self, &samples, &model);
+            }
+            self.window_events += n;
+            let elapsed = self.window_start.elapsed();
+            if elapsed >= RATE_WINDOW {
+                let rate =
+                    (self.window_events as u128 * 1_000_000_000 / elapsed.as_nanos().max(1)) as u64;
+                self.stats.set_rate(rate);
+                self.window_start = Instant::now();
+                self.window_events = 0;
+            }
+        } else if let WireFrame::Meta(payload) = frame.decode()? {
+            // Unrecognized meta payloads stay forward-compatible no-ops;
+            // a sampling block re-labels the tenant. (A functions frame
+            // only needs to decode: finalize reads it from the image.)
+            if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
+                self.sampling = Some(info);
+                self.stats.set_sample_rate(info.rate());
+            }
+        }
+        self.image.extend_from_slice(frame.bytes());
+        Ok(())
+    }
+
+    /// Closes the stream with its index frame; returns why the verdict
+    /// must be an eviction instead (a rejected frame, an undecodable
+    /// index, or an index that disagrees with the events ingested).
+    fn close(&mut self, frame: &RawFrame, fleet: &FleetRegistry) -> Option<String> {
+        if let Some(reason) = self.rejected.take() {
+            return Some(reason);
+        }
+        match frame.decode() {
+            Ok(WireFrame::End(index)) if index.total_events == self.events => {
+                self.image.extend_from_slice(frame.bytes());
+                None
+            }
+            Ok(WireFrame::End(index)) => Some(format!(
+                "index declares {} events, stream carried {}",
+                index.total_events, self.events
+            )),
+            Ok(_) => unreachable!("End carries the index frame"),
+            Err(e) => {
+                fleet.evict(&self.stats);
+                Some(e.to_string())
+            }
+        }
+    }
 }
 
 fn shard_for(tenant: &str, shards: usize) -> usize {
@@ -567,12 +806,14 @@ fn verdicts_for(model: &HeapModel) -> Vec<MetricVerdict> {
     out
 }
 
-/// Runs the buffered stream through the authoritative offline check and
-/// closes the tenant's books. An evicted tenant still gets its buffered
-/// prefix checked (partial verdict + incident bundles) — eviction
-/// changes how the outcome is labeled, not whether evidence is kept.
+/// Checks the tenant's image through the offline engine and closes the
+/// tenant's books. A stream that reached its verified index opens as a
+/// [`BinaryTraceImage`]; a partial one (shutdown, eviction) salvages the
+/// frames that arrived. An evicted tenant still gets its buffered prefix
+/// checked (partial verdict + incident bundles) — eviction changes how
+/// the outcome is labeled, not whether evidence is kept.
 fn finalize(
-    mut t: ShardTenant,
+    t: ShardTenant,
     tenant: String,
     partial: bool,
     evicted: Option<String>,
@@ -585,14 +826,10 @@ fn finalize(
     t.stats.set_connected(false);
     t.stats.set_rate(0);
     t.stats.set_queue_depth(0);
+    #[cfg(test)]
+    tests::capture_image(&tenant, &t.image);
     let model = Arc::clone(&t.model);
-    let events = t.events.len() as u64;
-    let mut trace = Trace::new();
-    for ev in t.events.drain(..) {
-        trace.push(ev);
-    }
-    trace.set_functions(std::mem::take(&mut t.functions));
-    trace.set_sampling(t.sampling);
+    let events = t.events;
     // Tenant names are charset-validated (no separators), so they are
     // safe as directory names.
     let log = ctx
@@ -602,17 +839,30 @@ fn finalize(
     // Daemon-side production-overhead mode: the check re-samples
     // full-fidelity streams; streams that arrived sampled keep their
     // recorded schedule.
-    let checked = check(
-        EventSource::Memory(&trace),
-        &model,
-        &model.settings,
-        ctx.sampler,
-        log,
-    );
+    let checked = if partial {
+        let (trace, _) = salvage_bytes(&t.image);
+        check(
+            EventSource::Memory(&trace),
+            &model,
+            &model.settings,
+            ctx.sampler,
+            log,
+        )
+    } else {
+        BinaryTraceImage::open(t.image).and_then(|image| {
+            check(
+                EventSource::Image(&image),
+                &model,
+                &model.settings,
+                ctx.sampler,
+                log,
+            )
+        })
+    };
     let outcome = match checked {
         Ok(out) => {
             let sample_rate = out.sampling.map_or(1.0, |s| s.rate());
-            if trace.sampling().is_none() && out.sampling.is_some() {
+            if t.sampling.is_none() && out.sampling.is_some() {
                 t.stats.set_sample_rate(sample_rate);
             }
             t.stats.record_bugs(out.bugs.len() as u64);
@@ -677,8 +927,9 @@ fn finalize(
 /// streams' replayers are dropped instead of pooled.
 const REPLAYER_POOL_CAP: usize = 8;
 
-/// Daemon-wide settings every shard loop applies at finalize.
+/// Daemon-wide settings every shard loop applies.
 struct ShardCtx {
+    fleet: Arc<FleetRegistry>,
     incident_dir: Option<PathBuf>,
     run_store: Option<Arc<RunStore>>,
     sampler: Option<SamplerConfig>,
@@ -699,6 +950,8 @@ fn shard_loop(rx: Receiver<ShardMsg>, ctx: ShardCtx) -> Vec<TenantOutcome> {
             pool.push(r);
         }
     };
+    // Every tenant's blocks decode into this one buffer.
+    let mut events: Vec<HeapEvent> = Vec::with_capacity(EVENTS_PER_BLOCK);
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Start {
@@ -726,8 +979,9 @@ fn shard_loop(rx: Receiver<ShardMsg>, ctx: ShardCtx) -> Vec<TenantOutcome> {
                 let state = ShardTenant {
                     stats,
                     pending,
-                    events: Vec::new(),
-                    functions: Vec::new(),
+                    image: file_header().to_vec(),
+                    events: 0,
+                    rejected: None,
                     replayer,
                     sampling: None,
                     last_out: vec![false; model.stable.len() + model.candidate_stable.len()],
@@ -737,69 +991,32 @@ fn shard_loop(rx: Receiver<ShardMsg>, ctx: ShardCtx) -> Vec<TenantOutcome> {
                 };
                 tenants.insert(tenant, state);
             }
-            ShardMsg::Events { tenant, events } => {
-                let Some(t) = tenants.get_mut(&tenant) else {
-                    continue;
-                };
-                let n = events.len() as u64;
-                let clock = heapmd_obs::throughput::stage_clock();
-                t.replayer.ingest_batch(&events);
-                t.events.extend_from_slice(&events);
-                if let Some(t0) = clock {
-                    heapmd_obs::throughput::record_stage(
-                        "serve_ingest",
-                        n,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-                t.pending.fetch_sub(n.min(t.pending.load(Relaxed)), Relaxed);
-                t.stats.record_events(n);
-                t.stats.set_queue_depth(t.pending.load(Relaxed));
-                let samples = t.replayer.take_samples();
-                if !samples.is_empty() {
-                    let model = Arc::clone(&t.model);
-                    update_live(t, &samples, &model);
-                }
-                t.window_events += n;
-                let elapsed = t.window_start.elapsed();
-                if elapsed >= RATE_WINDOW {
-                    let rate = (t.window_events as u128 * 1_000_000_000 / elapsed.as_nanos().max(1))
-                        as u64;
-                    t.stats.set_rate(rate);
-                    t.window_start = Instant::now();
-                    t.window_events = 0;
+            ShardMsg::Frame { tenant, frame } => {
+                if let Some(t) = tenants.get_mut(&tenant) {
+                    t.take_frame(&frame, &mut events, &ctx.fleet);
                 }
             }
-            ShardMsg::Functions { tenant, names } => {
-                if let Some(t) = tenants.get_mut(&tenant) {
-                    t.functions = names;
-                }
-            }
-            ShardMsg::Sampling { tenant, info } => {
-                if let Some(t) = tenants.get_mut(&tenant) {
-                    t.sampling = Some(info);
-                    t.stats.set_sample_rate(info.rate());
-                }
+            ShardMsg::Sync { tenant, accepted } => {
+                let _ = accepted.send(tenants.get(&tenant).is_some_and(|t| t.rejected.is_none()));
             }
             ShardMsg::End {
                 tenant,
-                index,
+                frame,
                 cleanup,
             } => {
                 let Some(mut t) = tenants.remove(&tenant) else {
                     continue;
                 };
                 recycle(&mut t, &mut replayer_pool);
-                if t.events.len() as u64 != index.total_events {
-                    let reason = format!(
-                        "index declares {} events, stream carried {}",
-                        index.total_events,
-                        t.events.len()
-                    );
-                    outcomes.push(finalize(t, tenant, true, Some(reason), cleanup, &ctx));
-                    continue;
-                }
-                outcomes.push(finalize(t, tenant, false, None, cleanup, &ctx));
+                let evicted = t.close(&frame, &ctx.fleet);
+                outcomes.push(finalize(
+                    t,
+                    tenant,
+                    evicted.is_some(),
+                    evicted,
+                    cleanup,
+                    &ctx,
+                ));
             }
             ShardMsg::Abort {
                 tenant,
@@ -811,16 +1028,17 @@ fn shard_loop(rx: Receiver<ShardMsg>, ctx: ShardCtx) -> Vec<TenantOutcome> {
                     continue;
                 };
                 recycle(&mut t, &mut replayer_pool);
-                let evicted = evict.then_some(reason);
+                let evicted = t.rejected.take().or(evict.then_some(reason));
                 outcomes.push(finalize(t, tenant, true, evicted, cleanup, &ctx));
             }
         }
     }
-    // Channel closed (shutdown drained the accept loop): finalize
+    // Channel closed (shutdown joined the handlers): finalize
     // whatever streams never sent an explicit end. Journals stay on
     // disk so a restarted daemon can pick the sessions back up.
-    for (tenant, t) in tenants {
-        outcomes.push(finalize(t, tenant, true, None, Vec::new(), &ctx));
+    for (tenant, mut t) in tenants {
+        let evicted = t.rejected.take();
+        outcomes.push(finalize(t, tenant, true, evicted, Vec::new(), &ctx));
     }
     outcomes
 }
@@ -830,13 +1048,14 @@ fn shard_loop(rx: Receiver<ShardMsg>, ctx: ShardCtx) -> Vec<TenantOutcome> {
 // ---------------------------------------------------------------------
 
 /// Everything a connection handler needs, bundled so the accept loop
-/// clones one `Arc`. Dropped (with the shard senders inside) once the
-/// accept loop joins its handlers, which closes the shard channels.
+/// clones one `Arc`. Dropped (with the shard senders inside) once
+/// [`Server::wait`] joins the handlers, which closes the shard
+/// channels.
 pub(crate) struct ServeCtx {
     pub(crate) senders: Vec<Sender<ShardMsg>>,
     pub(crate) fleet: Arc<FleetRegistry>,
     pub(crate) queue_events: u64,
-    pub(crate) shutdown: Arc<AtomicBool>,
+    pub(crate) shutdown: Arc<Shutdown>,
     pub(crate) model: Arc<HeapModel>,
     pub(crate) model_dir: Option<PathBuf>,
     pub(crate) journal_dir: Option<PathBuf>,
@@ -937,35 +1156,44 @@ fn read_preamble(stream: &mut impl Read) -> Option<Preamble> {
     None
 }
 
-/// Waits for the tenant's queue to drop under `bound`; `false` means
-/// the queue made no progress at all for a whole grace window and the
-/// tenant should be evicted as stalled. Only this connection's thread
-/// increments `pending`, so any decrease observed here is shard
-/// progress, which resets the grace clock — a busy-but-alive shard
-/// backpressures the client indefinitely rather than evicting it.
-fn wait_for_room(pending: &AtomicU64, bound: u64, shutdown: &AtomicBool) -> bool {
-    let mut last = pending.load(Relaxed);
-    if last < bound {
-        return true;
+/// What became of a frame handed to [`queue_frame`].
+enum Queued {
+    Sent,
+    /// The queue made no progress for a whole grace window: evict.
+    Stalled,
+    /// The shard is gone (the daemon is going down).
+    Closed,
+}
+
+/// Hands one non-final frame to `tenant`'s shard once its queue has
+/// room.
+fn queue_frame(
+    ctx: &ServeCtx,
+    tenant: &str,
+    stats: &TenantStats,
+    pending: &Pending,
+    frame: RawFrame,
+) -> Queued {
+    let n = u64::from(frame.event_count());
+    if n > 0 {
+        if !pending.wait_for_room(ctx.queue_events, &ctx.shutdown) {
+            return Queued::Stalled;
+        }
+        stats.set_queue_depth(pending.add(n));
     }
-    let mut deadline = Instant::now() + BACKPRESSURE_GRACE;
-    loop {
-        if shutdown.load(Relaxed) {
-            // Let the shutdown path finalize the tenant instead.
-            return true;
-        }
-        std::thread::sleep(BACKPRESSURE_POLL);
-        let now = pending.load(Relaxed);
-        if now < bound {
-            return true;
-        }
-        if now < last {
-            last = now;
-            deadline = Instant::now() + BACKPRESSURE_GRACE;
-        } else if Instant::now() >= deadline {
-            return false;
-        }
+    let msg = ShardMsg::Frame {
+        tenant: tenant.to_string(),
+        frame,
+    };
+    match ctx.sender_for(tenant).send(msg) {
+        Ok(()) => Queued::Sent,
+        Err(_) => Queued::Closed,
     }
+}
+
+/// The eviction reason of a stalled queue.
+fn stall_reason(ctx: &ServeCtx) -> String {
+    format!("slow consumer: over {} queued events", ctx.queue_events)
 }
 
 fn handle_conn(stream: AnyStream, ctx: Arc<ServeCtx>) {
@@ -984,7 +1212,7 @@ fn handle_conn(stream: AnyStream, ctx: Arc<ServeCtx>) {
         None => {
             // EOF during shutdown is the daemon going away, not a
             // client speaking the wrong protocol.
-            if !ctx.shutdown.load(Relaxed) {
+            if !ctx.shutdown.is_set() {
                 ctx.fleet.record_protocol_error();
             }
         }
@@ -993,7 +1221,7 @@ fn handle_conn(stream: AnyStream, ctx: Arc<ServeCtx>) {
 
 fn handle_v1(stream: DrainingStream, tenant: String, ctx: &ServeCtx) {
     let stats = ctx.fleet.connect(&tenant);
-    let pending = Arc::new(AtomicU64::new(0));
+    let pending = Arc::new(Pending::default());
     let tx = ctx.sender_for(&tenant);
     if tx
         .send(ShardMsg::Start {
@@ -1009,56 +1237,10 @@ fn handle_v1(stream: DrainingStream, tenant: String, ctx: &ServeCtx) {
     }
     let mut reader = WireReader::new(stream);
     loop {
-        match reader.next_frame() {
-            Ok(WireFrame::Events(events)) => {
-                if !wait_for_room(&pending, ctx.queue_events, &ctx.shutdown) {
-                    ctx.fleet.evict(&stats);
-                    let _ = tx.send(ShardMsg::Abort {
-                        tenant,
-                        reason: format!("slow consumer: over {} queued events", ctx.queue_events),
-                        evict: true,
-                        cleanup: Vec::new(),
-                    });
-                    return;
-                }
-                pending.fetch_add(events.len() as u64, Relaxed);
-                stats.set_queue_depth(pending.load(Relaxed));
-                if tx
-                    .send(ShardMsg::Events {
-                        tenant: tenant.clone(),
-                        events,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(WireFrame::Functions(names)) => {
-                let _ = tx.send(ShardMsg::Functions {
-                    tenant: tenant.clone(),
-                    names,
-                });
-            }
-            Ok(WireFrame::Meta(payload)) => {
-                // Unrecognized meta payloads stay forward-compatible
-                // no-ops; a sampling block re-labels the tenant.
-                if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
-                    let _ = tx.send(ShardMsg::Sampling {
-                        tenant: tenant.clone(),
-                        info,
-                    });
-                }
-            }
-            Ok(WireFrame::End(index)) => {
-                let _ = tx.send(ShardMsg::End {
-                    tenant,
-                    index,
-                    cleanup: Vec::new(),
-                });
-                return;
-            }
+        let frame = match reader.next_frame_raw() {
+            Ok(frame) => frame,
             Err(e) => {
-                if ctx.shutdown.load(Relaxed) {
+                if ctx.shutdown.is_set() {
                     // The stream drained to EOF because the daemon is
                     // going down; everything that arrived still gets a
                     // (partial) verdict.
@@ -1082,43 +1264,125 @@ fn handle_v1(stream: DrainingStream, tenant: String, ctx: &ServeCtx) {
                 }
                 return;
             }
+        };
+        if frame.is_end() {
+            let _ = tx.send(ShardMsg::End {
+                tenant,
+                frame,
+                cleanup: Vec::new(),
+            });
+            return;
+        }
+        match queue_frame(ctx, &tenant, &stats, &pending, frame) {
+            Queued::Sent => {}
+            Queued::Stalled => {
+                ctx.fleet.evict(&stats);
+                let _ = tx.send(ShardMsg::Abort {
+                    tenant,
+                    reason: stall_reason(ctx),
+                    evict: true,
+                    cleanup: Vec::new(),
+                });
+                return;
+            }
+            Queued::Closed => return,
         }
     }
 }
 
-fn accept_loop(listener: AnyListener, ctx: Arc<ServeCtx>) {
-    let mut handles = Vec::new();
-    let mut last_sweep = Instant::now();
-    while !ctx.shutdown.load(Relaxed) {
-        if last_sweep.elapsed() >= SWEEP_PERIOD {
-            session::sweep_expired(&ctx);
-            last_sweep = Instant::now();
+fn join_handlers(handlers: Vec<JoinHandle<()>>) {
+    for h in handlers {
+        if h.join().is_err() {
+            heapmd_obs::error!("a connection handler panicked");
         }
-        match listener.accept() {
-            Ok(stream) => {
-                let _ = stream.set_blocking();
-                heapmd_obs::count!("heapmd_serve_connections_total");
-                let ctx = Arc::clone(&ctx);
-                handles.push(std::thread::spawn(move || handle_conn(stream, ctx)));
+    }
+}
+
+/// Connection-handler threads the accept loop has started and nobody
+/// has joined yet.
+type Handlers = Arc<Mutex<Vec<JoinHandle<()>>>>;
+const HANDLERS_LOCK: &str = "no thread panics while holding the handler list";
+
+/// Accepts ingest connections until shutdown, one handler thread each.
+/// It holds the daemon context only weakly, so [`Server::wait`] can
+/// finalize the shards even if this thread never wakes from `accept`.
+fn accept_loop(
+    listener: AnyListener,
+    ctx: Weak<ServeCtx>,
+    shutdown: Arc<Shutdown>,
+    handlers: Handlers,
+) {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.is_set() {
+            return;
+        }
+        let Ok(stream) = accepted else {
+            shutdown.sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        let Some(ctx) = ctx.upgrade() else {
+            return;
+        };
+        heapmd_obs::count!("heapmd_serve_connections_total");
+        // Joining finished handlers releases their thread stacks now
+        // rather than at shutdown.
+        let finished = {
+            let mut held = handlers.lock().expect(HANDLERS_LOCK);
+            let (finished, running) = std::mem::take(&mut *held)
+                .into_iter()
+                .partition(|h| h.is_finished());
+            *held = running;
+            held.push(std::thread::spawn(move || handle_conn(stream, ctx)));
+            finished
+        };
+        join_handlers(finished);
+    }
+}
+
+/// Wakes blocked accept loops at shutdown: dials each listener (through
+/// `dial`) and re-dials every [`WAKE_RETRY`] until its thread reports on
+/// `exited` that it returned. A dial can fail, say on descriptor
+/// exhaustion or an unlinked socket path; after `grace` the loops still
+/// blocked are left behind. Returns whether every loop returned.
+fn wake_accept_loops(
+    dials: &[String],
+    exited: &Receiver<usize>,
+    mut dial: impl FnMut(&str) -> io::Result<()>,
+    grace: Duration,
+) -> bool {
+    let deadline = Instant::now() + grace;
+    let mut blocked = vec![true; dials.len()];
+    loop {
+        for (addr, _) in dials.iter().zip(&blocked).filter(|(_, b)| **b) {
+            if let Err(e) = dial(addr) {
+                heapmd_obs::warn!("shutdown wake-up dial to {addr} failed: {e}");
             }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+        }
+        loop {
+            match exited.recv_timeout(WAKE_RETRY) {
+                Ok(i) => {
+                    blocked[i] = false;
+                    if !blocked.contains(&true) {
+                        return true;
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => return true,
+                Err(RecvTimeoutError::Timeout) => break,
+            }
+        }
+        if Instant::now() >= deadline {
+            heapmd_obs::error!("an accept loop did not wake for shutdown; leaving it blocked");
+            return false;
         }
     }
-    // Handlers notice the flag within one read-timeout tick, drain what
-    // the kernel buffered, and hand their tenants to the shards.
-    for h in handles {
-        let _ = h.join();
-    }
-    // Dropping `ctx` (the handlers' clones died with them) drops the
-    // shard senders, which closes the channels, which drain and
-    // finalize.
 }
 
 // ---------------------------------------------------------------------
 // HTTP control endpoint
 // ---------------------------------------------------------------------
 
-fn handle_http(stream: &mut TcpStream, fleet: &FleetRegistry, shutdown: &AtomicBool) {
+fn handle_http(stream: &mut TcpStream, fleet: &FleetRegistry, shutdown: &Shutdown) {
     let mut buf = [0u8; 2048];
     let mut n = 0;
     loop {
@@ -1144,10 +1408,7 @@ fn handle_http(stream: &mut TcpStream, fleet: &FleetRegistry, shutdown: &AtomicB
         "/fleet.tsv" => (200, "text/tab-separated-values", fleet.tsv()),
         "/fleet.jsonl" => (200, "application/x-ndjson", fleet.firehose_jsonl()),
         "/healthz" => (200, "text/plain", "ok\n".to_string()),
-        "/shutdown" => {
-            shutdown.store(true, Relaxed);
-            (200, "text/plain", "shutting down\n".to_string())
-        }
+        "/shutdown" => (200, "text/plain", "shutting down\n".to_string()),
         _ => (404, "text/plain", "not found\n".to_string()),
     };
     let reason = if status == 200 { "OK" } else { "Not Found" };
@@ -1158,17 +1419,25 @@ fn handle_http(stream: &mut TcpStream, fleet: &FleetRegistry, shutdown: &AtomicB
     );
     let _ = stream.write_all(body.as_bytes());
     let _ = stream.flush();
+    if path == "/shutdown" {
+        shutdown.trigger();
+    }
 }
 
-fn http_loop(listener: TcpListener, fleet: Arc<FleetRegistry>, shutdown: Arc<AtomicBool>) {
-    while !shutdown.load(Relaxed) {
-        match listener.accept() {
+fn http_loop(listener: TcpListener, fleet: Arc<FleetRegistry>, shutdown: Arc<Shutdown>) {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.is_set() {
+            return;
+        }
+        match accepted {
             Ok((mut stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(1000)));
                 handle_http(&mut stream, &fleet, &shutdown);
             }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => {
+                shutdown.sleep(ACCEPT_ERROR_BACKOFF);
+            }
         }
     }
 }
@@ -1184,9 +1453,17 @@ pub struct Server {
     ingest_addr: String,
     http_addr: String,
     fleet: Arc<FleetRegistry>,
-    shutdown: Arc<AtomicBool>,
-    accept: JoinHandle<()>,
-    http: JoinHandle<()>,
+    shutdown: Arc<Shutdown>,
+    /// The daemon context; the only strong reference outside the
+    /// connection handlers and the sweeper, so dropping it after they
+    /// are joined closes the shard channels.
+    ctx: Arc<ServeCtx>,
+    handlers: Handlers,
+    sweeper: JoinHandle<()>,
+    /// Dial addresses of the ingest and HTTP listeners, whose accept
+    /// threads send their index here when they return.
+    wake_dials: Vec<String>,
+    accept_exited: Receiver<usize>,
     shards: Vec<JoinHandle<Vec<TenantOutcome>>>,
     prom_dump: Option<PathBuf>,
 }
@@ -1202,13 +1479,13 @@ impl Server {
     /// [`HeapMdError::Io`] when either socket cannot be bound.
     pub fn start(config: ServeConfig, listen: &str, http: &str) -> Result<Server, HeapMdError> {
         heapmd_obs::export::mark_process_start();
-        let (ingest, ingest_addr) = AnyListener::bind(listen)?;
+        let (ingest, ingest_addr, ingest_dial) = AnyListener::bind(listen)?;
         let http_listener = TcpListener::bind(http)?;
-        let http_addr = http_listener.local_addr()?.to_string();
-        http_listener.set_nonblocking(true)?;
+        let http_local = http_listener.local_addr()?;
+        let http_addr = http_local.to_string();
 
         let fleet = Arc::new(FleetRegistry::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Shutdown::new());
         let model = Arc::new(config.model);
 
         // One store shared by every shard: appends are segment-atomic
@@ -1227,6 +1504,7 @@ impl Server {
             let (tx, rx) = channel();
             senders.push(tx);
             let ctx = ShardCtx {
+                fleet: Arc::clone(&fleet),
                 incident_dir: config.incident_dir.clone(),
                 run_store: run_store.clone(),
                 sampler: config.sampler,
@@ -1253,23 +1531,52 @@ impl Server {
         // daemon left before accepting new connections, so resuming
         // clients find their sessions already rebuilt.
         session::recover_sessions(&ctx);
-        let accept = std::thread::Builder::new()
-            .name("hmd-accept".into())
-            .spawn(move || accept_loop(ingest, ctx))?;
-        let http = {
+        let sweeper = {
+            let ctx = Arc::clone(&ctx);
+            std::thread::Builder::new()
+                .name("hmd-sweep".into())
+                .spawn(move || {
+                    while !ctx.shutdown.sleep(SWEEP_PERIOD) {
+                        session::sweep_expired(&ctx);
+                    }
+                })?
+        };
+        let handlers = Handlers::default();
+        let (exited_tx, accept_exited) = channel();
+        {
+            let (ctx, shutdown, handlers) = (
+                Arc::downgrade(&ctx),
+                Arc::clone(&shutdown),
+                Arc::clone(&handlers),
+            );
+            let exited = exited_tx.clone();
+            std::thread::Builder::new()
+                .name("hmd-accept".into())
+                .spawn(move || {
+                    accept_loop(ingest, ctx, shutdown, handlers);
+                    let _ = exited.send(0);
+                })?;
+        }
+        {
             let fleet = Arc::clone(&fleet);
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("hmd-http".into())
-                .spawn(move || http_loop(http_listener, fleet, shutdown))?
-        };
+                .spawn(move || {
+                    http_loop(http_listener, fleet, shutdown);
+                    let _ = exited_tx.send(1);
+                })?;
+        }
         Ok(Server {
             ingest_addr,
             http_addr,
             fleet,
             shutdown,
-            accept,
-            http,
+            ctx,
+            handlers,
+            sweeper,
+            wake_dials: vec![ingest_dial, dial_addr(http_local)],
+            accept_exited,
             shards,
             prom_dump: config.prom_dump,
         })
@@ -1296,13 +1603,29 @@ impl Server {
     /// final dump. Session journals are left on disk for the next
     /// daemon. Returns immediately; [`Server::wait`] observes it.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Relaxed);
+        self.shutdown.trigger();
     }
 
     /// Blocks until shutdown (via [`Server::shutdown`] or HTTP
     /// `/shutdown`), then drains every shard and returns the summary.
     pub fn wait(self) -> ServeSummary {
-        let _ = self.accept.join();
+        self.shutdown.wait();
+        wake_accept_loops(
+            &self.wake_dials,
+            &self.accept_exited,
+            |addr| connect_any(addr).map(drop).map_err(io::Error::other),
+            WAKE_GRACE,
+        );
+        // Handlers notice the flag within one read-timeout tick, drain
+        // what the kernel buffered, and hand their tenants to the
+        // shards. Dropping the context after them and the sweeper drops
+        // the shard senders, which closes the channels, which drain and
+        // finalize.
+        join_handlers(std::mem::take(
+            &mut *self.handlers.lock().expect(HANDLERS_LOCK),
+        ));
+        let _ = self.sweeper.join();
+        drop(self.ctx);
         let mut summary = ServeSummary::default();
         for shard in self.shards {
             if let Ok(outcomes) = shard.join() {
@@ -1311,7 +1634,6 @@ impl Server {
                 }
             }
         }
-        let _ = self.http.join();
         if let Some(path) = &self.prom_dump {
             let mut text = heapmd_obs::export::prometheus_text();
             text.push_str(&self.fleet.prometheus_text());
@@ -1380,64 +1702,4 @@ pub fn push_trace(addr: &str, tenant: &str, trace: &Trace) -> Result<u64, HeapMd
     let mut inner = writer.finish()?;
     inner.flush()?;
     Ok(trace.len() as u64)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tenant_names_are_charset_checked() {
-        assert!(valid_tenant("api-eu.web_1:prod"));
-        assert!(!valid_tenant(""));
-        assert!(!valid_tenant("has space"));
-        assert!(!valid_tenant("path/../escape"));
-        assert!(!valid_tenant(&"x".repeat(65)));
-        assert!(valid_tenant(&"x".repeat(64)));
-    }
-
-    #[test]
-    fn shard_assignment_is_stable_and_in_range() {
-        for shards in [1usize, 2, 4, 7] {
-            for name in ["a", "tenant-42", "web.eu:1"] {
-                let s = shard_for(name, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_for(name, shards), "deterministic");
-            }
-        }
-    }
-
-    #[test]
-    fn preamble_parses_both_versions() {
-        let mut v1 = io::Cursor::new(b"HMDSERVE1 web-1\n".to_vec());
-        assert!(matches!(
-            read_preamble(&mut v1),
-            Some(Preamble::V1 { tenant }) if tenant == "web-1"
-        ));
-        let mut v2 = io::Cursor::new(b"HMDSERVE2 web-1 s-42 7\n".to_vec());
-        match read_preamble(&mut v2) {
-            Some(Preamble::V2 {
-                tenant,
-                session,
-                acked,
-            }) => {
-                assert_eq!(tenant, "web-1");
-                assert_eq!(session, "s-42");
-                assert_eq!(acked, 7);
-            }
-            other => panic!("wanted V2, got {}", other.is_some()),
-        }
-        for bad in [
-            &b"HMDSERVE2 web-1 s-42\n"[..],
-            b"HMDSERVE2 web-1 s-42 x\n",
-            b"HMDSERVE2 web-1 bad session 7\n",
-            b"HMDSERVE3 web-1\n",
-        ] {
-            assert!(
-                read_preamble(&mut io::Cursor::new(bad.to_vec())).is_none(),
-                "{:?}",
-                String::from_utf8_lossy(bad)
-            );
-        }
-    }
 }

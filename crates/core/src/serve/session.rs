@@ -16,9 +16,10 @@
 //! the preamble telling the client where to resume (`acked` = the next
 //! expected sequence number), one progress ack after each journaled
 //! block, and a final ack (flags bit 0) once the end-of-stream frame is
-//! accepted. **An ack means the block is journaled** (or, without a
-//! journal directory, handed to the checking shard) — the client may
-//! drop it from its spill buffer.
+//! accepted and the shard has decoded every frame before it. **An ack
+//! means the block is journaled** (or, without a journal directory,
+//! handed to the checking shard) — the client may drop it from its
+//! spill buffer.
 //!
 //! # Failure semantics
 //!
@@ -32,6 +33,10 @@
 //! - A duplicate block (retransmitted because its ack was lost) is
 //!   read, discarded, and re-acked; a sequence gap closes the
 //!   connection (the session stays resumable).
+//! - A frame that passes its checksum but does not decode ends the
+//!   stream without a final ack: an undecodable index closes the
+//!   connection like a torn frame; an events frame the shard rejected
+//!   ends the session evicted, its decoded prefix salvaged.
 //! - A session that stays disconnected past
 //!   [`super::ServeConfig::session_timeout`] is evicted, salvaging the
 //!   buffered prefix into a partial verdict like any other eviction.
@@ -48,15 +53,15 @@
 //! the daemon had never died. Journals survive graceful shutdown too:
 //! there is no special shutdown state, recovery *is* the startup path.
 
-use super::{wait_for_room, DrainingStream, ServeCtx, ShardMsg};
+use super::{queue_frame, stall_reason, DrainingStream, Pending, Queued, ServeCtx, ShardMsg};
 use crate::error::HeapMdError;
 use crate::persist::write_atomic;
-use crate::trace_codec::{WireFrame, WireReader, BINARY_FORMAT_VERSION, BINARY_MAGIC, HEADER_LEN};
+use crate::trace_codec::{file_header, WireReader, HEADER_LEN};
 use heapmd_obs::fleet::TenantStats;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -162,7 +167,7 @@ pub(crate) struct SessionEntry {
     /// Last connect/disconnect/accept activity, for expiry.
     pub last_seen: Instant,
     pub stats: Arc<TenantStats>,
-    pub pending: Arc<AtomicU64>,
+    pub pending: Arc<Pending>,
 }
 
 /// Both journal paths for `tenant`, if journaling is configured.
@@ -210,10 +215,7 @@ impl Journal {
         }
         let mut file = opts.open(path)?;
         if file.metadata()?.len() == 0 {
-            let mut header = [0u8; HEADER_LEN];
-            header[..6].copy_from_slice(BINARY_MAGIC);
-            header[6] = BINARY_FORMAT_VERSION;
-            file.write_all(&header)?;
+            file.write_all(&file_header())?;
         }
         Ok(Journal { file })
     }
@@ -276,7 +278,7 @@ fn attach_session(ctx: &ServeCtx, tenant: &str, session: &str) -> Attach {
         }
     }
     let stats = ctx.fleet.connect(tenant);
-    let pending = Arc::new(AtomicU64::new(0));
+    let pending = Arc::new(Pending::default());
     let entry = Arc::new(Mutex::new(SessionEntry {
         session: session.to_string(),
         next_seq: 0,
@@ -306,11 +308,17 @@ fn detach(entry: &Arc<Mutex<SessionEntry>>) {
 
 /// Removes the session and salvage-evicts its shard state.
 fn evict_session(ctx: &ServeCtx, tenant: &str, entry: &Arc<Mutex<SessionEntry>>, reason: String) {
-    ctx.sessions.lock().unwrap().remove(tenant);
     {
         let e = entry.lock().unwrap();
         ctx.fleet.evict(&e.stats);
     }
+    drop_session(ctx, tenant, reason);
+}
+
+/// Removes a session that is already counted evicted (its shard
+/// rejected a frame) and has the shard salvage its verdict.
+fn drop_session(ctx: &ServeCtx, tenant: &str, reason: String) {
+    ctx.sessions.lock().unwrap().remove(tenant);
     let _ = ctx.sender_for(tenant).send(ShardMsg::Abort {
         tenant: tenant.to_string(),
         reason,
@@ -421,8 +429,8 @@ pub(crate) fn handle_v2(
             detach(&entry);
             return;
         }
-        let (frame, raw) = match reader.next_frame_raw() {
-            Ok(fr) => fr,
+        let frame = match reader.next_frame_raw() {
+            Ok(frame) => frame,
             Err(_) => {
                 // Torn or damaged frame (a mid-block cut, a flipped
                 // bit, a silent truncation surfacing as a framing
@@ -432,85 +440,63 @@ pub(crate) fn handle_v2(
                 return;
             }
         };
+        // The shard decodes the stream's frames; the small index is
+        // decoded here too, so an index that does not decode is handled
+        // like a damaged frame: never journaled, never acked.
+        if frame.is_end() && frame.decode().is_err() {
+            detach(&entry);
+            return;
+        }
         if let Some(j) = &mut journal {
-            if j.append(&raw).is_err() {
+            if j.append(frame.bytes()).is_err() {
                 // An unjournalable block must not be acked.
                 detach(&entry);
                 return;
             }
         }
-        match frame {
-            WireFrame::Events(events) => {
-                if !wait_for_room(&pending, ctx.queue_events, &ctx.shutdown) {
-                    evict_session(
-                        ctx,
-                        &tenant,
-                        &entry,
-                        format!("slow consumer: over {} queued events", ctx.queue_events),
-                    );
-                    return;
-                }
-                pending.fetch_add(events.len() as u64, Relaxed);
-                stats.set_queue_depth(pending.load(Relaxed));
-                if tx
-                    .send(ShardMsg::Events {
-                        tenant: tenant.clone(),
-                        events,
-                    })
-                    .is_err()
-                {
-                    detach(&entry);
-                    return;
-                }
-            }
-            WireFrame::Functions(names) => {
-                if tx
-                    .send(ShardMsg::Functions {
-                        tenant: tenant.clone(),
-                        names,
-                    })
-                    .is_err()
-                {
-                    detach(&entry);
-                    return;
-                }
-            }
-            WireFrame::Meta(payload) => {
-                if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
-                    if tx
-                        .send(ShardMsg::Sampling {
-                            tenant: tenant.clone(),
-                            info,
-                        })
-                        .is_err()
-                    {
-                        detach(&entry);
-                        return;
-                    }
-                }
-            }
-            WireFrame::End(index) => {
-                let final_seq = {
-                    let mut e = entry.lock().unwrap();
-                    e.next_seq += 1;
-                    e.offset = reader.bytes_consumed();
-                    e.completed = true;
-                    e.connected = false;
-                    e.last_seen = Instant::now();
-                    e.next_seq
-                };
-                // Tombstone the metadata before the shard deletes the
-                // journal: a crash in between leaves either a replayable
-                // journal or a final-ack tombstone, never a lost stream.
-                write_meta(ctx, &tenant, &session, true);
-                let _ = tx.send(ShardMsg::End {
-                    tenant: tenant.clone(),
-                    index,
-                    cleanup: journal_cleanup(ctx, &tenant),
-                });
-                let _ = send_ack(reader.stream_mut(), final_seq, ACK_FINAL);
+        if frame.is_end() {
+            // Only a stream whose every frame decoded on the shard is
+            // acked as complete.
+            if !shard_accepted(tx, &tenant) {
+                drop_session(ctx, &tenant, "stream rejected".into());
                 return;
             }
+            let final_seq = {
+                let mut e = entry.lock().unwrap();
+                e.next_seq += 1;
+                e.offset = reader.bytes_consumed();
+                e.completed = true;
+                e.connected = false;
+                e.last_seen = Instant::now();
+                e.next_seq
+            };
+            // Tombstone the metadata before the shard deletes the
+            // journal: a crash in between leaves either a replayable
+            // journal or a final-ack tombstone, never a lost stream.
+            write_meta(ctx, &tenant, &session, true);
+            let _ = tx.send(ShardMsg::End {
+                tenant: tenant.clone(),
+                frame,
+                cleanup: journal_cleanup(ctx, &tenant),
+            });
+            let _ = send_ack(reader.stream_mut(), final_seq, ACK_FINAL);
+            return;
+        }
+        match queue_frame(ctx, &tenant, &stats, &pending, frame) {
+            Queued::Sent => {}
+            Queued::Stalled => {
+                evict_session(ctx, &tenant, &entry, stall_reason(ctx));
+                return;
+            }
+            Queued::Closed => {
+                detach(&entry);
+                return;
+            }
+        }
+        if stats.is_evicted() {
+            // The shard rejected an earlier frame: stop acking.
+            drop_session(ctx, &tenant, "stream rejected".into());
+            return;
         }
         let acked = {
             let mut e = entry.lock().unwrap();
@@ -526,9 +512,21 @@ pub(crate) fn handle_v2(
     }
 }
 
+/// Waits until the shard has taken every frame queued for `tenant`;
+/// returns whether all of them decoded.
+fn shard_accepted(tx: &Sender<ShardMsg>, tenant: &str) -> bool {
+    let (accepted, reply) = channel();
+    tx.send(ShardMsg::Sync {
+        tenant: tenant.to_string(),
+        accepted,
+    })
+    .is_ok()
+        && reply.recv().unwrap_or(false)
+}
+
 /// Evicts sessions that stayed disconnected past the configured
 /// timeout, salvaging their buffered prefix into a partial verdict.
-/// Called periodically from the accept loop.
+/// Called periodically by the daemon's sweeper thread.
 pub(crate) fn sweep_expired(ctx: &ServeCtx) {
     let timeout = ctx.session_timeout;
     let candidates: Vec<String> = {
@@ -613,7 +611,7 @@ fn register_entry(
     offset: u64,
     completed: bool,
     stats: Arc<TenantStats>,
-    pending: Arc<AtomicU64>,
+    pending: Arc<Pending>,
 ) {
     let entry = Arc::new(Mutex::new(SessionEntry {
         session,
@@ -640,7 +638,7 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
             // The journal was already cleaned up but the tombstone
             // survived: keep replaying final acks to the client.
             let stats = ctx.fleet.tenant(tenant);
-            let pending = Arc::new(AtomicU64::new(0));
+            let pending = Arc::new(Pending::default());
             register_entry(
                 ctx,
                 tenant,
@@ -658,7 +656,7 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
         return;
     }
     let stats = ctx.fleet.tenant(tenant);
-    let pending = Arc::new(AtomicU64::new(0));
+    let pending = Arc::new(Pending::default());
     let tx = ctx.sender_for(tenant);
     if tx
         .send(ShardMsg::Start {
@@ -680,37 +678,14 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
     let mut good = HEADER_LEN as u64;
     let mut frames = 0u64;
     loop {
-        match reader.next_frame() {
-            Ok(WireFrame::Events(events)) => {
-                // No pending increment: recovery feeds the shard ahead
-                // of any live connection, and the shard's saturating
-                // decrement tolerates the imbalance.
-                let _ = tx.send(ShardMsg::Events {
-                    tenant: tenant.to_string(),
-                    events,
-                });
-            }
-            Ok(WireFrame::Functions(names)) => {
-                let _ = tx.send(ShardMsg::Functions {
-                    tenant: tenant.to_string(),
-                    names,
-                });
-            }
-            Ok(WireFrame::Meta(payload)) => {
-                if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
-                    let _ = tx.send(ShardMsg::Sampling {
-                        tenant: tenant.to_string(),
-                        info,
-                    });
-                }
-            }
-            Ok(WireFrame::End(index)) => {
+        match reader.next_frame_raw() {
+            Ok(frame) if frame.is_end() => {
                 // The whole stream made it to the journal before the
                 // crash: finalize now and tombstone the session.
                 frames += 1;
                 let _ = tx.send(ShardMsg::End {
                     tenant: tenant.to_string(),
-                    index,
+                    frame,
                     cleanup: vec![jpath, mpath],
                 });
                 register_entry(
@@ -724,6 +699,15 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
                     pending,
                 );
                 return;
+            }
+            // No queue accounting: recovery feeds the shard ahead of
+            // any live connection, and the shard's saturating drain
+            // tolerates the imbalance.
+            Ok(frame) => {
+                let _ = tx.send(ShardMsg::Frame {
+                    tenant: tenant.to_string(),
+                    frame,
+                });
             }
             Err(_) => break,
         }

@@ -19,7 +19,7 @@ use crate::trace_codec::{BinaryTraceImage, EVENTS_PER_BLOCK};
 use crate::trace_stream::SalvageStats;
 use heap_graph::HeapGraph;
 use serde::{Deserialize, Serialize};
-use sim_heap::{HeapEvent, SimHeap};
+use sim_heap::HeapEvent;
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use swat::{SampledIngest, SamplerConfig, SamplingInfo};
@@ -256,9 +256,6 @@ pub struct TraceCheckOutcome {
 /// stream arrives as one slice or as decoded blocks.
 pub(crate) struct Replayer {
     graph: HeapGraph,
-    /// An empty heap stands in for the traced process's; monitors only
-    /// use it for the logical clock, which we advance per event.
-    heap: SimHeap,
     funcs: FunctionTable,
     stack: Vec<crate::callstack::FuncId>,
     settings: Settings,
@@ -288,7 +285,6 @@ impl Replayer {
         }
         Replayer {
             graph: HeapGraph::new(),
-            heap: SimHeap::new(),
             funcs,
             stack: Vec::new(),
             settings,
@@ -335,7 +331,6 @@ impl Replayer {
     /// streams this way instead of allocating one per stream.
     pub(crate) fn reset(&mut self, settings: Settings, function_names: &[String]) {
         self.graph.reset();
-        self.heap = SimHeap::new();
         self.funcs = FunctionTable::new();
         for name in function_names {
             self.funcs.intern(name);
@@ -507,7 +502,7 @@ impl Replayer {
         }
         let ctx = MonitorCtx {
             graph: &self.graph,
-            heap: &self.heap,
+            tick: self.tick,
             stack: &self.stack,
             funcs: &self.funcs,
             fn_entries: self.fn_entries,
@@ -523,7 +518,7 @@ impl Replayer {
             let sample = self.take_sample();
             let ctx = MonitorCtx {
                 graph: &self.graph,
-                heap: &self.heap,
+                tick: self.tick,
                 stack: &self.stack,
                 funcs: &self.funcs,
                 fn_entries: self.fn_entries,
@@ -539,7 +534,7 @@ impl Replayer {
     pub(crate) fn finish(&mut self, monitors: &mut [&mut dyn Monitor]) {
         let ctx = MonitorCtx {
             graph: &self.graph,
-            heap: &self.heap,
+            tick: self.tick,
             stack: &self.stack,
             funcs: &self.funcs,
             fn_entries: self.fn_entries,

@@ -593,16 +593,7 @@ impl<W: Write> BinaryTraceWriter<W> {
     ///
     /// Returns [`HeapMdError::Io`] if the header cannot be written.
     pub fn new(mut inner: W) -> Result<Self, HeapMdError> {
-        let header = [
-            BINARY_MAGIC[0],
-            BINARY_MAGIC[1],
-            BINARY_MAGIC[2],
-            BINARY_MAGIC[3],
-            BINARY_MAGIC[4],
-            BINARY_MAGIC[5],
-            BINARY_FORMAT_VERSION,
-            0,
-        ];
+        let header = file_header();
         inner.write_all(&header)?;
         Ok(BinaryTraceWriter {
             inner,
@@ -1000,6 +991,15 @@ impl BinaryTraceImage {
     }
 }
 
+/// The 8-byte file header every binary trace starts with: magic,
+/// format version, one reserved zero byte.
+pub(crate) fn file_header() -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[..6].copy_from_slice(BINARY_MAGIC);
+    header[6] = BINARY_FORMAT_VERSION;
+    header
+}
+
 pub(crate) fn check_header(bytes: &[u8]) -> Result<(), HeapMdError> {
     if bytes.len() < 8 || &bytes[..6] != BINARY_MAGIC {
         return Err(HeapMdError::corrupt(0, "missing binary trace magic"));
@@ -1069,7 +1069,7 @@ impl BinaryTraceReader {
 }
 
 /// Block-granular salvage over raw bytes: never fails, never panics.
-fn salvage_bytes(bytes: &[u8]) -> (Trace, SalvageStats) {
+pub(crate) fn salvage_bytes(bytes: &[u8]) -> (Trace, SalvageStats) {
     let mut events: Vec<HeapEvent> = Vec::new();
     let mut functions: Vec<String> = Vec::new();
     let mut sampling: Option<SamplingInfo> = None;
@@ -1566,6 +1566,8 @@ fn run_pool<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) ->
             *slot = Some(work(i));
         }
     } else {
+        static CHECK_POOL: heapmd_obs::throughput::Stage =
+            heapmd_obs::throughput::Stage::new("check_pool");
         let clock = heapmd_obs::throughput::stage_clock();
         let chunk = n.div_ceil(workers);
         let work = &work;
@@ -1579,11 +1581,7 @@ fn run_pool<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) ->
             }
         });
         if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(
-                "check_pool",
-                n as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
+            CHECK_POOL.record(n as u64, t0.elapsed().as_nanos() as u64);
             heapmd_obs::gauge_set!("check_pool_jobs", workers as i64);
         }
     }
@@ -1614,12 +1612,103 @@ pub enum WireFrame {
     End(BlockIndex),
 }
 
+/// One framed, CRC-verified block of a live stream, still encoded: the
+/// exact wire bytes (block header + payload, plus the footer after the
+/// index block). Appending a stream's frames to the 8-byte file header
+/// rebuilds the `.hmdt` file byte for byte.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawFrame {
+    bytes: Vec<u8>,
+    /// Stream offset of the block, for error reports.
+    offset: u64,
+}
+
+impl RawFrame {
+    /// The frame's wire bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Whether this is the index frame that ends the stream.
+    pub fn is_end(&self) -> bool {
+        self.bytes[4] == KIND_INDEX
+    }
+
+    /// Events the block header declares (0 for non-event frames).
+    pub fn event_count(&self) -> u32 {
+        if self.bytes[4] == KIND_EVENTS {
+            self.count()
+        } else {
+            0
+        }
+    }
+
+    /// The little-endian `u32` block-header field at `at`.
+    fn header_u32(&self, at: usize) -> u32 {
+        u32::from_le_bytes(
+            self.bytes[at..at + 4]
+                .try_into()
+                .expect("a frame holds a whole block header"),
+        )
+    }
+
+    fn count(&self) -> u32 {
+        self.header_u32(5)
+    }
+
+    fn payload(&self) -> &[u8] {
+        let len = self.header_u32(9) as usize;
+        &self.bytes[BLOCK_HEADER_LEN..BLOCK_HEADER_LEN + len]
+    }
+
+    /// Decodes an events frame into `out` (cleared first), reusing its
+    /// allocation; `Ok(false)` leaves `out` alone for any other kind.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapMdError::Corrupt`] when the payload does not decode.
+    pub fn decode_events_into(&self, out: &mut Vec<HeapEvent>) -> Result<bool, HeapMdError> {
+        if self.bytes[4] != KIND_EVENTS {
+            return Ok(false);
+        }
+        out.clear();
+        decode_events_payload(self.payload(), self.count(), out)
+            .map_err(|r| HeapMdError::corrupt(self.offset, r))?;
+        Ok(true)
+    }
+
+    /// Decodes the frame.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapMdError::Corrupt`] when the payload does not decode.
+    pub fn decode(&self) -> Result<WireFrame, HeapMdError> {
+        let payload = self.payload();
+        let corrupt = |r| HeapMdError::corrupt(self.offset, r);
+        match self.bytes[4] {
+            KIND_EVENTS => {
+                let mut events = Vec::with_capacity(self.count() as usize);
+                decode_events_payload(payload, self.count(), &mut events).map_err(corrupt)?;
+                Ok(WireFrame::Events(events))
+            }
+            KIND_FUNCTIONS => decode_functions_payload(payload, self.count())
+                .map(WireFrame::Functions)
+                .map_err(corrupt),
+            KIND_META => Ok(WireFrame::Meta(payload.to_vec())),
+            _ => decode_index_payload(payload, self.count())
+                .map(WireFrame::End)
+                .map_err(corrupt),
+        }
+    }
+}
+
 /// Incremental frame-at-a-time reader for `.hmdt` bytes arriving over a
 /// socket (the `heapmd serve` wire format).
 ///
 /// Unlike [`BinaryTraceImage`], which wants the whole file, this reads
-/// exactly one length-framed block per [`next_frame`](Self::next_frame)
-/// call, CRC-checking each before decoding, so a daemon can replay a
+/// exactly one length-framed block per
+/// [`next_frame_raw`](Self::next_frame_raw) call, CRC-checking each
+/// before it is decoded ([`RawFrame::decode`]), so a daemon can replay a
 /// tenant's stream while the tenant is still running. Any structural
 /// damage — truncation, a flipped bit, a bogus length — surfaces as
 /// [`HeapMdError::Corrupt`] with the stream offset, never a panic, so
@@ -1629,10 +1718,6 @@ pub struct WireReader<R: Read> {
     consumed: u64,
     header_done: bool,
     finished: bool,
-    /// When teeing, every byte [`fill`](Self::fill) consumes is also
-    /// appended here — how the serving session layer captures the raw
-    /// block bytes it journals.
-    tee: Option<Vec<u8>>,
 }
 
 impl<R: Read> WireReader<R> {
@@ -1643,7 +1728,6 @@ impl<R: Read> WireReader<R> {
             consumed: 0,
             header_done: false,
             finished: false,
-            tee: None,
         }
     }
 
@@ -1659,7 +1743,6 @@ impl<R: Read> WireReader<R> {
             consumed: offset,
             header_done: true,
             finished: false,
-            tee: None,
         }
     }
 
@@ -1694,34 +1777,19 @@ impl<R: Read> WireReader<R> {
             _ => HeapMdError::from(e),
         })?;
         self.consumed += buf.len() as u64;
-        if let Some(tee) = &mut self.tee {
-            tee.extend_from_slice(buf);
-        }
         Ok(())
     }
 
-    /// Like [`next_frame`](Self::next_frame), additionally returning
-    /// the frame's raw wire bytes (block header + payload, plus the
-    /// footer for the end frame) so the caller can journal them
-    /// verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`next_frame`](Self::next_frame).
-    pub fn next_frame_raw(&mut self) -> Result<(WireFrame, Vec<u8>), HeapMdError> {
-        self.tee = Some(Vec::new());
-        let result = self.next_frame();
-        let raw = self.tee.take().unwrap_or_default();
-        result.map(|frame| (frame, raw))
-    }
-
-    /// Reads, verifies, and decodes the next frame.
+    /// Reads and verifies the next frame — framing, checksum, and the
+    /// footer after the index block — without decoding its payload.
+    /// The file header, when this reader starts at one, is checked and
+    /// consumed first; it is not part of any frame.
     ///
     /// # Errors
     ///
     /// [`HeapMdError::Io`] on transport failure, [`HeapMdError::Corrupt`]
-    /// on structural damage or on any read past [`WireFrame::End`].
-    pub fn next_frame(&mut self) -> Result<WireFrame, HeapMdError> {
+    /// on structural damage or on any read past the end frame.
+    pub fn next_frame_raw(&mut self) -> Result<RawFrame, HeapMdError> {
         if self.finished {
             return Err(HeapMdError::corrupt(
                 self.consumed,
@@ -1729,21 +1797,20 @@ impl<R: Read> WireReader<R> {
             ));
         }
         if !self.header_done {
-            let mut header = [0u8; 8];
+            let mut header = [0u8; HEADER_LEN];
             self.fill(&mut header)?;
             check_header(&header)?;
             self.header_done = true;
         }
         let block_start = self.consumed;
-        let mut head = [0u8; BLOCK_HEADER_LEN];
-        self.fill(&mut head)?;
-        if head[..4] != BLOCK_MAGIC {
+        let mut bytes = vec![0u8; BLOCK_HEADER_LEN];
+        self.fill(&mut bytes)?;
+        if bytes[..4] != BLOCK_MAGIC {
             return Err(HeapMdError::corrupt(block_start, "bad block magic"));
         }
-        let kind = head[4];
-        let count = u32::from_le_bytes(head[5..9].try_into().unwrap());
-        let len = u32::from_le_bytes(head[9..13].try_into().unwrap());
-        let declared_crc = u32::from_le_bytes(head[13..17].try_into().unwrap());
+        let kind = bytes[4];
+        let len = u32::from_le_bytes(bytes[9..13].try_into().unwrap());
+        let declared_crc = u32::from_le_bytes(bytes[13..17].try_into().unwrap());
         if len > MAX_BLOCK_LEN {
             return Err(HeapMdError::corrupt(
                 block_start,
@@ -1756,9 +1823,10 @@ impl<R: Read> WireReader<R> {
                 format!("unknown block kind {kind}"),
             ));
         }
-        let mut payload = vec![0u8; len as usize];
-        self.fill(&mut payload)?;
-        let actual = crc32(&payload);
+        let tail = if kind == KIND_INDEX { FOOTER_LEN } else { 0 };
+        bytes.resize(BLOCK_HEADER_LEN + len as usize + tail, 0);
+        self.fill(&mut bytes[BLOCK_HEADER_LEN..])?;
+        let actual = crc32(&bytes[BLOCK_HEADER_LEN..BLOCK_HEADER_LEN + len as usize]);
         if actual != declared_crc {
             return Err(HeapMdError::corrupt(
                 block_start,
@@ -1767,36 +1835,23 @@ impl<R: Read> WireReader<R> {
                 ),
             ));
         }
-        match kind {
-            KIND_EVENTS => {
-                let mut events = Vec::with_capacity(count as usize);
-                decode_events_payload(&payload, count, &mut events)
-                    .map_err(|r| HeapMdError::corrupt(block_start, r))?;
-                Ok(WireFrame::Events(events))
+        if kind == KIND_INDEX {
+            let index_offset = parse_footer(&bytes[bytes.len() - FOOTER_LEN..])
+                .map_err(|r| HeapMdError::corrupt(block_start, r))?;
+            if index_offset != block_start {
+                return Err(HeapMdError::corrupt(
+                    block_start,
+                    format!(
+                        "footer points at index offset {index_offset}, stream has it at {block_start}"
+                    ),
+                ));
             }
-            KIND_FUNCTIONS => decode_functions_payload(&payload, count)
-                .map(WireFrame::Functions)
-                .map_err(|r| HeapMdError::corrupt(block_start, r)),
-            KIND_META => Ok(WireFrame::Meta(payload)),
-            _ => {
-                let index = decode_index_payload(&payload, count)
-                    .map_err(|r| HeapMdError::corrupt(block_start, r))?;
-                let mut footer = [0u8; FOOTER_LEN];
-                self.fill(&mut footer)?;
-                let index_offset =
-                    parse_footer(&footer).map_err(|r| HeapMdError::corrupt(block_start, r))?;
-                if index_offset != block_start {
-                    return Err(HeapMdError::corrupt(
-                        block_start,
-                        format!(
-                            "footer points at index offset {index_offset}, stream has it at {block_start}"
-                        ),
-                    ));
-                }
-                self.finished = true;
-                Ok(WireFrame::End(index))
-            }
+            self.finished = true;
         }
+        Ok(RawFrame {
+            bytes,
+            offset: block_start,
+        })
     }
 }
 
@@ -2175,7 +2230,11 @@ mod tests {
         let mut events = Vec::new();
         let mut functions = Vec::new();
         let index = loop {
-            match reader.next_frame().expect("intact stream") {
+            match reader
+                .next_frame_raw()
+                .and_then(|f| f.decode())
+                .expect("intact stream")
+            {
                 WireFrame::Events(mut v) => events.append(&mut v),
                 WireFrame::Functions(f) => functions = f,
                 WireFrame::Meta(_) => {}
@@ -2188,9 +2247,20 @@ mod tests {
         assert_eq!(index.total_events, trace.len() as u64);
         assert_eq!(reader.bytes_consumed(), bytes.len() as u64);
         assert!(
-            reader.next_frame().is_err(),
+            reader.next_frame_raw().and_then(|f| f.decode()).is_err(),
             "reading past End must error, not loop"
         );
+        // Raw frames are the wire bytes: header + frames is the file.
+        let mut reader = WireReader::new(&bytes[..]);
+        let mut rebuilt = file_header().to_vec();
+        loop {
+            let frame = reader.next_frame_raw().expect("intact stream");
+            rebuilt.extend_from_slice(frame.bytes());
+            if frame.is_end() {
+                break;
+            }
+        }
+        assert_eq!(rebuilt, bytes);
     }
 
     #[test]
@@ -2201,7 +2271,7 @@ mod tests {
         for cut in [3usize, 8, 12, bytes.len() / 2, bytes.len() - 1] {
             let mut reader = WireReader::new(&bytes[..cut.min(bytes.len())]);
             let err = loop {
-                match reader.next_frame() {
+                match reader.next_frame_raw().and_then(|f| f.decode()) {
                     Ok(WireFrame::End(_)) => panic!("truncated stream reported a clean end"),
                     Ok(_) => continue,
                     Err(e) => break e,
@@ -2220,7 +2290,7 @@ mod tests {
             bad[pos] ^= 0x10;
             let mut reader = WireReader::new(&bad[..]);
             for _ in 0..1000 {
-                match reader.next_frame() {
+                match reader.next_frame_raw().and_then(|f| f.decode()) {
                     Ok(WireFrame::End(_)) | Err(_) => break,
                     Ok(_) => continue,
                 }

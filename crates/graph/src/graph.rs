@@ -352,16 +352,14 @@ impl HeapGraph {
         if events.is_empty() {
             return;
         }
+        static GRAPH_APPLY: heapmd_obs::throughput::Stage =
+            heapmd_obs::throughput::Stage::new("heap_graph_apply");
         let clock = heapmd_obs::throughput::stage_clock();
         for event in events {
             self.apply(event);
         }
         if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(
-                "heap_graph_apply",
-                events.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
+            GRAPH_APPLY.record(events.len() as u64, t0.elapsed().as_nanos() as u64);
         }
     }
 

@@ -138,6 +138,8 @@ pub fn run_many(
             *slot = Some(run_once(w, input, &mut FaultPlan::new(), settings));
         }
     } else {
+        static TRAIN_RUNS: heapmd_obs::throughput::Stage =
+            heapmd_obs::throughput::Stage::new("train_runs");
         let clock = heapmd_obs::throughput::stage_clock();
         let chunk = inputs.len().div_ceil(workers);
         std::thread::scope(|scope| {
@@ -150,11 +152,7 @@ pub fn run_many(
             }
         });
         if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(
-                "train_runs",
-                inputs.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
+            TRAIN_RUNS.record(inputs.len() as u64, t0.elapsed().as_nanos() as u64);
             heapmd_obs::gauge_set!("train_run_threads", workers as i64);
         }
     }

@@ -493,6 +493,13 @@ impl Conn for ChaosConn {
     fn set_read_timeout(&mut self, dur: Option<Duration>) -> std::io::Result<()> {
         self.ctl.set_read_timeout(dur)
     }
+
+    fn read_ready(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.ctl.set_nonblocking(true)?;
+        let read = std::io::Read::read(&mut self.io, buf);
+        self.ctl.set_nonblocking(false)?;
+        read
+    }
 }
 
 /// Dials TCP through the shared fault plan: partitions gate the dial
